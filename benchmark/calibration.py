@@ -1,20 +1,35 @@
 """Machine-speed samples, to take the shared machine's speed out of the timings.
 
-The benchmark runs on machines shared with other tenants, whose load slows
-this process by a third or more for tens of seconds at a time.  Such swings
-are wider than any bound worth gating on.  So while untraced passes run, a
-timer signal interrupts the main thread every ``PERIOD`` seconds, between two
-bytecodes, and times one fixed calibration kernel.  The kernel calls neither
-nearex nor anything nearex configures; it does the same kind of work (small
-LAPACK solves behind Python calls).  Each item's time is then rescaled to
-the speed at which the kernel takes ``KERNEL_REF_S``:
+The benchmark runs on virtual machines whose cores the host shares with other
+tenants.  On a 2-core KVM guest, a fixed kernel ran at one of two speeds,
+about 2.5 and 4 ms, switching every few seconds; single 25 s passes of the
+same work took 20-28 s.  Such swings are wider than any bound worth gating
+on.  So while untraced passes run, a timer signal interrupts the main thread
+every ``PERIOD`` seconds, between two bytecodes, and runs one fixed
+calibration kernel.  The kernel calls neither nearex nor anything nearex
+configures; it does the same kind of work (small LAPACK solves behind Python
+calls).  Each item's time is then rescaled to the speed at which the kernel
+takes ``KERNEL_REF_S``, by the machine's mean speed around the item:
 
-    adjusted = (raw - kernel time inside the item) * KERNEL_REF_S / kernel time around it
+    adjusted = raw * mean(KERNEL_REF_S / kernel CPU time) over the kernel runs around it
 
-On a 2-core machine, alternating this kernel with a recovery showed a
-correlation of 0.95 over 3 s blocks. The spread of the block times fell from
-11% raw to 4% adjusted.  Set-up times are rescaled in the same way by
-:func:`fault_kernel`, run in the set-up process right after it is timed.
+Averaging speeds, not kernel times, is what rescales time spent at changing
+speeds correctly.  Averaging kernel times rescaled study passes by too little
+when the speed changed within them: pass-to-pass spread at one seed was 2.3%
+against 1.5%, and whole runs at the fast speed read about 5% lower.
+
+The kernel is timed by its thread's CPU time, not by the clock.  Time it
+spends waiting for a core, whether the program's own threads and worker
+processes hold the cores or anything else in the guest does, is not counted.
+Running slower on a core is, and that is what the host's other tenants
+cause.  With two busy processes competing for the two cores, the kernel's
+clock time rose by up to a third while its CPU time stayed in its usual
+range.  Kernel runs are not subtracted from the items: they add about 1.6%
+(4 ms every 0.25 s) to the time of serial code, and at most that to code
+that keeps several cores busy.
+
+Set-up times are rescaled in the same way, by the median of five kernel runs
+made in the set-up process once set-up has returned and the program is idle.
 """
 
 from __future__ import annotations
@@ -30,29 +45,10 @@ PERIOD = 0.25
 WINDOW = 0.5  # kernel samples this close to an item describe its speed
 KERNEL_REF_S = 0.004  # reference speed: about the kernel's time on the baseline's 2-core VM
 KERNEL_LOOPS = 120
-FAULT_REF_S = 0.008  # the same for fault_kernel
-FAULT_DOUBLES = 4_000_000
-
-
-def fault_kernel():
-    """Median time of three rounds of touching 32 MB of fresh memory.
-
-    Importing numpy and scipy is mostly mapping and faulting in pages, which
-    the compute kernel does not track; this one does (their times correlated
-    at 0.74 over 30 fresh interpreters).
-    """
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        x = np.ones(FAULT_DOUBLES)
-        x[::512] += 1.0
-        del x
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[1]
 
 
 class SpeedProbe:
-    """Samples of the calibration kernel's time, taken by a timer signal."""
+    """Samples of the calibration kernel's CPU time, taken by a timer signal."""
 
     def __init__(self):
         rng = np.random.default_rng(0)
@@ -72,11 +68,15 @@ class SpeedProbe:
             acc += abs(x[0]) + sum(d.values())
         return acc
 
-    def sample(self):
-        t0 = time.perf_counter()
+    def kernel_cpu_s(self):
+        """CPU time of one kernel run in this thread."""
+        c0 = time.thread_time()
         self.kernel()
-        self.starts.append(t0)
-        self.seconds.append(time.perf_counter() - t0)
+        return time.thread_time() - c0
+
+    def sample(self):
+        self.starts.append(time.perf_counter())
+        self.seconds.append(self.kernel_cpu_s())
 
     def _on_alarm(self, signum, frame):
         self.sample()
@@ -99,14 +99,13 @@ class SpeedProbe:
         return self.seconds[lo:hi]
 
     def adjust(self, start, seconds):
-        """An interval's time without the kernel runs inside it, at reference speed."""
-        inside = sum(self._between(start, start + seconds))
+        """An interval's time at reference speed."""
         near = self._between(start - WINDOW, start + seconds + WINDOW)
         if not near:  # never happens while the timer runs; keep the nearest sample
             i = min(bisect.bisect_left(self.starts, start), len(self.starts) - 1)
             near = [self.seconds[i]]
-        return (seconds - inside) * KERNEL_REF_S / float(np.mean(near))
+        return seconds * KERNEL_REF_S * float(np.mean(1.0 / np.asarray(near)))
 
     def slowdown(self):
-        """Median kernel time over the reference time, for the record."""
+        """Median kernel CPU time over the reference time, for the record."""
         return float(np.median(self.seconds)) / KERNEL_REF_S

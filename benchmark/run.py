@@ -17,7 +17,7 @@ untraced passes, with item times rescaled to a reference machine speed
 (``calibration.py``).  ``--trace 1`` alternates untraced and traced passes
 and prints the per-layer metrics of the traced ones (per pass) plus the
 tracing overhead; the spans go to ``.bench_out/trace-<workload>.npz``.
-OpenBLAS runs with one thread.
+BLAS threads are left as the environment sets them and recorded in the header.
 
 Every result is checked.  The last line of standard output is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``.  The first line
@@ -31,18 +31,11 @@ import time
 
 _T0 = time.perf_counter()  # a setup probe times its imports from here
 
-import os  # noqa: E402
-
-# One BLAS thread, set before numpy loads OpenBLAS (children inherit it).  With
-# the default two, OpenBLAS's spinning worker doubled the fixtures' time on a
-# 2-core machine and made it swing by a fifth from pass to pass.
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-os.environ.update({k: "1" for k in BLAS_ENV})
-
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import os  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -52,6 +45,7 @@ from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SETUP_PROBES = 7
 WARMUP_FIXTURE = "double_root"
 
@@ -71,7 +65,8 @@ def use_checkout_source():
 def setup_probe(workload):
     """Child-process body: import the program and load the workload's problems.
 
-    Prints the set-up time, then the machine's memory speed right after it.
+    Prints the set-up time, then the machine's speed right after it, while
+    the program is idle.
     """
     use_checkout_source()
     import workloads
@@ -80,7 +75,8 @@ def setup_probe(workload):
     seconds = time.perf_counter() - _T0
     import calibration
 
-    print(repr(seconds), repr(calibration.fault_kernel()))
+    probe = calibration.SpeedProbe()
+    print(repr(seconds), repr(statistics.median(probe.kernel_cpu_s() for _ in range(5))))
 
 
 def measure_setup(workload, calibration):
@@ -94,9 +90,9 @@ def measure_setup(workload, calibration):
             [sys.executable, str(Path(__file__).resolve()), "--setup-probe", workload],
             cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
         )
-        seconds, fault_s = map(float, proc.stdout.split()[-2:])
+        seconds, kernel_s = map(float, proc.stdout.split()[-2:])
         raw.append(seconds)
-        adjusted.append(seconds * calibration.FAULT_REF_S / fault_s)
+        adjusted.append(seconds * calibration.KERNEL_REF_S / kernel_s)
     return raw, adjusted
 
 
@@ -115,7 +111,7 @@ def blas_threads():
                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
             fn = getattr(lib, sym, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
+                fn.argtypes, fn.restype = [], ctypes.c_int
                 out[Path(path).name] = fn()
                 break
     return out
@@ -189,7 +185,13 @@ def run_traced(wl, seconds, tracer):
             return plain, traced, items
 
 
-def end_to_end(wl, passes, probe, setup_s):
+def peak_rss_mb():
+    """Peak resident set of this process or of its largest child so far."""
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
+
+
+def end_to_end(wl, passes, probe, setup_s, rss_mb):
     """End-to-end metrics from item times rescaled to reference machine speed.
 
     Also returns each distinct item's median time over the passes.
@@ -212,7 +214,7 @@ def end_to_end(wl, passes, probe, setup_s):
         "recover_s.p90": (float(np.percentile(item_s, 90)), "s"),
         "throughput": (n_items * wl.UNITS_PER_ITEM / sum(pass_s), "1/s"),
         "ok_share": (sum(it.ok for items in passes for it in items) / n_items, "share"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+        "peak_rss_mb": (rss_mb, "MB"),
     }, per_item
 
 
@@ -265,11 +267,13 @@ def main(argv=None):
         print(json.dumps({"layers": _as_json(layers)}))
         metrics = {k: layers[k] for k in per_layer_names}
     else:
-        setup_raw, setup_adjusted = measure_setup(args.workload, calibration)
         probe = calibration.SpeedProbe()
         durations, passes = run_untraced(wl, args.seconds, probe)
+        rss_mb = peak_rss_mb()  # before the set-up probes, which are children too
+        setup_raw, setup_adjusted = measure_setup(args.workload, calibration)
         items = [it for items in passes for it in items]
-        metrics, per_item = end_to_end(wl, passes, probe, statistics.median(setup_adjusted))
+        metrics, per_item = end_to_end(wl, passes, probe, statistics.median(setup_adjusted),
+                                       rss_mb)
         if list(metrics) != end_to_end_names:
             raise RuntimeError(f"end-to-end metrics {list(metrics)} != {end_to_end_names}")
         detail = {k: (v, "s") for k, v in wl.detail(per_item).items()}

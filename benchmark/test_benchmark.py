@@ -46,18 +46,30 @@ def spec():
         return json.load(fh)
 
 
+def wrappers_left():
+    """Attributes of nearex modules and classes that still hold a wrapper."""
+    left = []
+    for mod in tracing._nearex_modules():
+        for attr, value in vars(mod).items():
+            if tracing._is_wrapper(value):
+                left.append(f"{mod.__name__}.{attr}")
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                left += [f"{mod.__name__}.{attr}.{a}" for a, v in vars(value).items()
+                         if tracing._is_wrapper(v)]
+    return left
+
+
 def run_benchmark(*args, cwd=ROOT):
     return subprocess.run([sys.executable, "benchmark/run.py", *args], cwd=cwd,
                           capture_output=True, text=True, timeout=600)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: workloads.Fixtures(ROOT, 0),
-    lambda: workloads.Study(ROOT, 0, n_samples=3),
-], ids=["fixtures", "study"])
-def test_counts_repeat_exactly_across_traced_runs(make):
-    first, items = traced_pass(make())
-    second, _ = traced_pass(make())
+@pytest.mark.parametrize("name", ["fixtures", "study"])
+def test_counts_repeat_exactly_across_traced_runs(name, monkeypatch):
+    monkeypatch.setattr(workloads, "STUDY_SAMPLES", 3)
+    make = workloads.WORKLOADS[name]
+    first, items = traced_pass(make(ROOT, 0))
+    second, _ = traced_pass(make(ROOT, 0))
     a = {k: first.layer_metrics()[k] for k in EXACT}
     b = {k: second.layer_metrics()[k] for k in EXACT}
     assert a == b
@@ -79,11 +91,12 @@ def test_install_rebinds_imported_names_and_uninstall_restores_them():
     finally:
         tracer.uninstall()
     assert nearex.recover.track_path is original
-    assert tracing.wrappers_left() == []
+    assert wrappers_left() == []
 
 
-def test_untraced_run_calls_no_wrapper():
-    wl = workloads.Study(ROOT, 0, n_samples=2)
+def test_untraced_run_calls_no_wrapper(monkeypatch):
+    monkeypatch.setattr(workloads, "STUDY_SAMPLES", 2)
+    wl = workloads.Study(ROOT, 0)
     tracer, _ = traced_pass(wl)
     before = (tracer.n_spans, sum(tracer.counts.values()))
     assert before[0] > 0
@@ -91,8 +104,9 @@ def test_untraced_run_calls_no_wrapper():
     assert (tracer.n_spans, sum(tracer.counts.values())) == before
 
 
-def test_checks_flag_a_wrong_recovery():
-    wl = workloads.Fixtures(ROOT, 0, names=["posdim"])
+def test_checks_flag_a_wrong_recovery(monkeypatch):
+    monkeypatch.setattr(workloads, "FAST_FIXTURES", ["posdim"])
+    wl = workloads.Fixtures(ROOT, 0)
     out = wl.problems["posdim"].run()
     assert wl.check("posdim", out, 0.0, 0.0).ok
     out.result.p_star = out.result.p_star + 1e-2

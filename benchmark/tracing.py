@@ -360,15 +360,3 @@ def _nearex_modules():
     return [mod for name, mod in list(sys.modules.items())
             if mod is not None and (name == "nearex" or name.startswith("nearex."))]
 
-
-def wrappers_left():
-    """Attributes of nearex modules and classes that still hold a wrapper."""
-    left = []
-    for mod in _nearex_modules():
-        for attr, value in vars(mod).items():
-            if _is_wrapper(value):
-                left.append(f"{mod.__name__}.{attr}")
-            if isinstance(value, type) and value.__module__ == mod.__name__:
-                left += [f"{mod.__name__}.{attr}.{a}" for a, v in vars(value).items()
-                         if _is_wrapper(v)]
-    return left

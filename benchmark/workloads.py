@@ -107,12 +107,11 @@ class Fixtures:
     name = "fixtures"
     UNITS_PER_ITEM = 1  # throughput counts recoveries
 
-    def __init__(self, root, seed, names=None):
+    def __init__(self, root, seed):
         self.seed = seed  # every fixture carries its own pinned run seed
-        self.names = list(names or FAST_FIXTURES)
-        self.problems = load_problems(root, self.names)
+        self.problems = load_problems(root, FAST_FIXTURES)
         self.references = {}
-        for nm in self.names:
+        for nm in FAST_FIXTURES:
             if nm == "double_root":
                 self.references[nm] = fixtures.DOUBLE_ROOT_TWO_PARAM[1:]
             else:
@@ -120,7 +119,7 @@ class Fixtures:
 
     def run_pass(self, on_item_start=None):
         items = []
-        for nm in self.names:
+        for nm in FAST_FIXTURES:
             if on_item_start is not None:
                 on_item_start()
             t0 = time.perf_counter()
@@ -135,7 +134,7 @@ class Fixtures:
 
     def detail(self, per_item):
         """Time per fixture, and the sum over the small ones."""
-        out = {f"recover_s.{nm}": per_item[nm] for nm in self.names}
+        out = {f"recover_s.{nm}": per_item[nm] for nm in FAST_FIXTURES}
         out["recover_s.small"] = sum(v for nm, v in per_item.items() if nm not in TABLES)
         return out
 
@@ -202,9 +201,8 @@ class Study:
     name = "study"
     UNITS_PER_ITEM = 1  # throughput counts samples
 
-    def __init__(self, root, seed, n_samples=STUDY_SAMPLES):
+    def __init__(self, root, seed):
         self.seed = seed
-        self.n_samples = n_samples
         self.problems = load_problems(root, STUDY_FIXTURES)
 
     def run_pass(self, on_item_start=None):
@@ -228,7 +226,7 @@ class Study:
                 return out.result
 
             rows = recover.sample_study(run_one, np.real(prob.p_tilde), STUDY_SIGMA,
-                                        self.n_samples, seed=self.seed)
+                                        STUDY_SAMPLES, seed=self.seed)
             for row, (t0, dt, out) in zip(rows, outcomes):
                 items.append(self.check(nm, row, out, t0, dt))
         return items
