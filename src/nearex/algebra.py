@@ -9,9 +9,8 @@ family over parameters, as unknowns in a fiber product, or as a homotopy.
 
 from __future__ import annotations
 
-import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,10 +75,6 @@ class Polynomial:
         exps = [0] * arity
         exps[index] = 1
         return cls({tuple(exps): coeff}, arity)
-
-    @classmethod
-    def monomial(cls, coeff, exps):
-        return cls({tuple(exps): coeff}, len(exps))
 
     # -- queries ------------------------------------------------------------
 
@@ -212,19 +207,6 @@ class Polynomial:
             key = tuple(ne)
             out[key] = out.get(key, 0) + c
         return Polynomial(out, new_arity)
-
-    def compose(self, args, new_arity):
-        """Substitute ``args[i]`` (a Polynomial of ``new_arity``) for each indeterminate."""
-        if len(args) != self.arity:
-            raise ValueError("need one replacement per indeterminate")
-        total = Polynomial.zero(new_arity)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, new_arity)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * args[i] ** k
-            total = total + term
-        return total
 
     def substitute(self, values):
         """Partially evaluate: ``values`` maps indeterminate index -> complex.
@@ -403,9 +385,6 @@ class PolySystem:
     def coefficient_norm(self):
         return self.compiled.coefficient_norm
 
-    def degrees(self, indices=None):
-        return [p.degree(indices) for p in self.polynomials]
-
     def substitute(self, values):
         """Fix indeterminates (index -> value); remaining ones keep their order."""
         keep = [i for i in range(self.arity) if i not in values]
@@ -452,9 +431,6 @@ class HomogenizationScheme:
     hom_names: list = None
     hom_indices: list = None
     patches: list = None  # per group: affine patch coefficients, or None
-
-    def n_groups(self):
-        return len(self.groups)
 
 
 class ParseError(ValueError):
@@ -651,21 +627,6 @@ def format_system(sys):
     return "\n".join(lines) + "\n"
 
 
-def evaluate(sys, point):
-    """Evaluate every polynomial of ``sys`` at ``point`` (full arity)."""
-    point = np.asarray(point, dtype=complex)
-    if point.shape[0] != sys.arity:
-        raise ValueError(f"point length {point.shape[0]} != arity {sys.arity}")
-    return sys.evaluate(point)
-
-
-def differentiate(sys, wrt):
-    """Term-wise symbolic partial derivative of every polynomial."""
-    if not 0 <= wrt < sys.arity:
-        raise IndexError(wrt)
-    return sys.with_polynomials([p.diff(wrt) for p in sys.polynomials])
-
-
 def homogenize(sys, scheme, seed=0):
     """(Multi)homogenize the variable blocks and add one generic patch per group.
 
@@ -713,13 +674,7 @@ def homogenize(sys, scheme, seed=0):
             coeffs = unit_complex(rng, len(support))
         if not np.any(coeffs):
             raise ValueError("patch must have a nonzero coefficient")
-        terms = {}
-        for i, c in zip(support, coeffs):
-            e = [0] * new_arity
-            e[i] = 1
-            terms[tuple(e)] = c
-        terms[(0,) * new_arity] = -1.0
-        patch_polys.append(Polynomial(terms, new_arity))
+        patch_polys.append(affine_row(np.append(coeffs, -1.0), support, new_arity))
         patches.append(coeffs)
 
     out_sys = PolySystem(
@@ -734,14 +689,6 @@ def homogenize(sys, scheme, seed=0):
         patches=patches,
     )
     return out_sys, realized
-
-
-def dehomogenize_check(hom_sys, scheme, original):
-    """True if setting homogenizing variables to 1 and dropping patches gives back ``original``."""
-    n_pat = scheme.n_groups()
-    sub = {i: 1.0 for i in scheme.hom_indices}
-    stripped = hom_sys.with_polynomials(hom_sys.polynomials[: len(hom_sys.polynomials) - n_pat])
-    return stripped.substitute(sub) == original
 
 
 def randomize(sys, target_count, seed=0):
@@ -761,6 +708,17 @@ def randomize(sys, target_count, seed=0):
     return sys.with_polynomials(out)
 
 
+def affine_row(coeffs, indices, arity):
+    """``Σ_a coeffs[a]·z[indices[a]] + coeffs[-1]`` over ``arity`` indeterminates."""
+    terms = []
+    for i, c in zip(indices, coeffs[:-1]):
+        e = [0] * arity
+        e[i] = 1
+        terms.append((e, c))
+    terms.append(((0,) * arity, coeffs[-1]))
+    return Polynomial(terms, arity)
+
+
 def generic_slice(n_vars, codim, seed=0, coefficients=None):
     """``codim`` generic affine-linear polynomials in ``n_vars`` indeterminates.
 
@@ -774,17 +732,7 @@ def generic_slice(n_vars, codim, seed=0, coefficients=None):
     else:
         rng = seeded_rng(seed)
         coeffs = unit_complex(rng, (codim, n_vars + 1))
-    polys = []
-    for row in coeffs:
-        terms = {}
-        for i in range(n_vars):
-            if row[i] != 0:
-                e = [0] * n_vars
-                e[i] = 1
-                terms[tuple(e)] = row[i]
-        if row[n_vars] != 0:
-            terms[(0,) * n_vars] = row[n_vars]
-        polys.append(Polynomial(terms, n_vars))
+    polys = [affine_row(row, range(n_vars), n_vars) for row in coeffs]
     names = [f"s{i}" for i in range(n_vars)]
     return PolySystem(polys, [VARIABLE] * n_vars, names)
 

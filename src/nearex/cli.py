@@ -4,7 +4,7 @@
 validation and writes ``report.json`` plus ``points.csv`` (the classified
 detection points with residuals and homogenizing-coordinate magnitudes, for
 plotting).  Exit code 0 means a validated recovery, 2 a failed or
-non-validated recovery, 1 an input error.
+non-validated recovery, 1 an input error (including a usage error).
 
 ``nearex study problem.json --n 500 --sigma 0.1`` repeats the recovery over
 Gaussian perturbations of the nominal parameters ``p_tilde`` and writes
@@ -40,13 +40,12 @@ def _add_common_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the run seed")
     sub.add_argument("--tol-rank", type=float, default=None,
                      help="numerical rank tolerance for stabilization")
-    sub.add_argument("--tol-residual", type=float, default=None,
-                     help="residual tolerance for point classification")
     sub.add_argument("--tol-infinity", type=float, default=None,
                      help="relative magnitude below which a homogenizing "
                           "coordinate counts as at infinity")
     sub.add_argument("--max-components", type=int, default=None,
-                     help="fix the number of component systems to stack")
+                     help="fix the number of component systems to stack "
+                          "(not for infinity problems)")
     sub.add_argument("--out-dir", default=".", help="directory for output files")
 
 
@@ -70,10 +69,8 @@ def build_parser():
 
 def _overrides(args):
     out = {}
-    for flag, key in (("tol_rank", "tol_rank"), ("tol_residual", "tol_residual"),
-                      ("tol_infinity", "tol_infinity"),
-                      ("max_components", "max_components")):
-        val = getattr(args, flag)
+    for key in ("tol_rank", "tol_infinity", "max_components"):
+        val = getattr(args, key)
         if val is not None:
             out[key] = val
     return out
@@ -167,6 +164,7 @@ def cmd_study(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     overrides = _overrides(args)
+    prob.options_with(overrides)  # reject a bad option before the first sample
     base_seed = args.seed if args.seed is not None else int(prob.options.get("seed", 0))
 
     def run_one(p_hat, sample_seed):
@@ -184,8 +182,10 @@ def cmd_study(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "recover":
             return cmd_recover(args)

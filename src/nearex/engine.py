@@ -33,10 +33,7 @@ from .algebra import (
     PARAMETER,
     VARIABLE,
     HomogenizationScheme,
-    PolySystem,
-    generic_slice,
     homogenize,
-    randomize,
     seeded_rng,
     unit_complex,
 )
@@ -47,7 +44,6 @@ from .fiberprod import (
     build_infinity_condition,
     build_trace_condition,
     build_witness_condition,
-    image_dimension,
     stabilize,
 )
 from .numlin import SingularMatrixError
@@ -61,6 +57,7 @@ from .structure import (
     classify_infinity,
     cluster_points,
     local_hilbert,
+    parameterized_sliced_system,
     solution_residual,
     trace_data,
     witness_superset,
@@ -121,22 +118,6 @@ def _dedupe(points, radius=1e-8):
     return out
 
 
-def parameterized_sliced_system(f, dim_D, seed):
-    """The randomized-and-sliced system with parameters left symbolic.
-
-    Uses the same seeds as :func:`nearex.structure.witness_superset`, so the
-    random constants agree with the detection run.
-    """
-    var = f.indices(VARIABLE, AUXILIARY)
-    n = len(var)
-    rand = randomize(f, n - dim_D, seed=seed) if len(f.polynomials) != n - dim_D else f
-    if dim_D == 0:
-        return rand
-    sl = generic_slice(n, dim_D, seed=seed + 1)
-    sl_polys = [q.remap(f.arity, var) for q in sl.polynomials]
-    return f.with_polynomials(rand.polynomials + sl_polys)
-
-
 # -- solutions at infinity ---------------------------------------------------
 
 
@@ -156,7 +137,7 @@ def _infinity_counts(endpoints, positions, tol):
 
 
 def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_TOL,
-                     n_trials=None, rank_tol=None):
+                     rank_tol=None):
     """Detect near-infinity solutions and push them onto infinity exactly."""
     p_hat = np.asarray(p_hat, dtype=complex)
     param_names = [f.names[i] for i in f.indices(PARAMETER)]
@@ -228,7 +209,7 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
         stab = stabilize(
             builder, candidates, param_names, p_hat, seed=seed,
             stop_on_plateau=False,
-            **({"tol": rank_tol} if rank_tol else {}),
+            tol=rank_tol,
         )
         fiber = stab.fiber_product
     counts_hat = _infinity_counts(
@@ -315,7 +296,7 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
                 stab = stabilize(
                     builder, trials, param_names, p_hat, seed=s0,
                     stop_on_plateau=plateau, cumulative=True,
-                    **({"tol": rank_tol} if rank_tol else {}),
+                    tol=rank_tol,
                 )
             except (RuntimeError, SingularMatrixError):
                 continue
@@ -406,7 +387,7 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
     stab = stabilize(
         builder, trials, param_names, p_hat, seed=seed,
         stop_on_plateau=plateau, cumulative=True,
-        **({"tol": rank_tol} if rank_tol else {}),
+        tol=rank_tol,
     )
     G = build_lagrange(stab.fiber_product, patch_seed=seed)
     res = descend(G)
@@ -475,7 +456,7 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
         stab = stabilize(
             builder, range(n_trials), param_names, p_hat, seed=seed,
             stop_on_plateau=False, cumulative=True,
-            **({"tol": rank_tol} if rank_tol else {}),
+            tol=rank_tol,
         )
         G = build_lagrange(stab.fiber_product, patch_seed=seed)
         res = descend(G)

@@ -12,7 +12,7 @@ down by the stabilization loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,14 @@ from .algebra import (
     VARIABLE,
     Polynomial,
     PolySystem,
-    generic_slice,
-    randomize,
+    affine_row,
     seeded_rng,
     slice_coefficient_rows,
     unit_complex,
 )
 from .numlin import DEFAULT_RANK_TOL, lstsq, null_space, numerical_rank
-from .structure import (
-    ClassifiedPoint,
-    TraceData,
-    WitnessSupersetResult,
-    near_infinity_label,
-    trace_data,
-)
-from .tracker import Homotopy, TrackingOptions, track_path
+from .structure import ClassifiedPoint, trace_data
+from .tracker import Homotopy, track_path
 
 INFINITY = "infinity"
 WITNESS = "witness"
@@ -174,8 +167,9 @@ def build_infinity_condition(hom, scheme, group, suspect):
 def move_to_slice(detection, points, new_coeffs, opts=None):
     """Track witness points from the detection slice onto a new slice.
 
-    The homotopy keeps the randomized rows fixed and interpolates the slice
-    rows linearly from the detection slice (t=1) to the new one (t=0).
+    The slice coefficients are the path indeterminates: they move on a
+    straight line from the detection slice (t=1) to the new one (t=0) while
+    the randomized rows stay fixed.
     """
     sliced = detection.sliced_system
     n = sliced.arity
@@ -186,26 +180,22 @@ def move_to_slice(detection, points, new_coeffs, opts=None):
         sliced.with_polynomials(sliced.polynomials[-D:])
     )
     new_coeffs = np.asarray(new_coeffs, dtype=complex).reshape(D, n + 1)
-    t = Polynomial.variable(n, n + 1)
-    one_minus_t = Polynomial.constant(1.0, n + 1) - t
-    polys = [p.remap(n + 1, list(range(n))) for p in sliced.polynomials[:-D]]
+    arity = n + D * (n + 1)
+    polys = [p.remap(arity, list(range(n))) for p in sliced.polynomials[:-D]]
     for r in range(D):
-        terms = {}
-        for i in range(n):
-            e = [0] * (n + 1)
-            e[i] = 1
-            terms[tuple(e)] = 0.0
-        lin_old = sum(
-            (Polynomial.variable(i, n + 1) * old_rows[r, i] for i in range(n)),
-            Polynomial.constant(old_rows[r, n], n + 1),
-        )
-        lin_new = sum(
-            (Polynomial.variable(i, n + 1) * new_coeffs[r, i] for i in range(n)),
-            Polynomial.constant(new_coeffs[r, n], n + 1),
-        )
-        polys.append(t * lin_old + one_minus_t * lin_new)
-    hsys = PolySystem(polys, sliced.roles + [PARAMETER], sliced.names + ["_t"])
-    h = Homotopy(hsys, list(range(n)), n)
+        # Σ_i c_ri·x_i + c_rn with the coefficients c_r as indeterminates
+        terms = []
+        for i in range(n + 1):
+            e = [0] * arity
+            e[n + r * (n + 1) + i] = 1
+            if i < n:
+                e[i] = 1
+            terms.append((e, 1.0))
+        polys.append(Polynomial(terms, arity))
+    names = [f"[c{r},{i}]" for r in range(D) for i in range(n + 1)]
+    hsys = PolySystem(polys, sliced.roles + [PARAMETER] * len(names),
+                      sliced.names + names)
+    h = Homotopy(hsys, range(n), range(n, arity), old_rows.ravel(), new_coeffs.ravel())
     out = []
     for p in points:
         res = track_path(h, np.asarray(p, dtype=complex), opts)
@@ -248,13 +238,7 @@ def build_witness_condition(f, dim_D, points, seed=0, detection=None):
         for a, i in enumerate(par):
             imap[i] = d * n + a
         polys.extend(p.remap(arity, imap) for p in f.polynomials)
-        for r in range(dim_D):
-            terms = {(0,) * arity: coeffs[r, n]}
-            for a in range(n):
-                e = [0] * arity
-                e[j * n + a] = 1
-                terms[tuple(e)] = coeffs[r, a]
-            polys.append(Polynomial(terms, arity))
+        polys.extend(affine_row(row, range(j * n, j * n + n), arity) for row in coeffs)
     sys = PolySystem(polys, roles, names)
     return ConditionSystem(
         kind=WITNESS,
@@ -296,16 +280,7 @@ def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
 
     # start auxiliaries: bordered solves on the fresh slice at p_hat
     fp = f.substitute_params(p_hat)
-    slice_terms = {(0,) * n: coeffs[0, n]}
-    for a in range(n):
-        e = [0] * n
-        e[a] = 1
-        slice_terms[tuple(e)] = coeffs[0, a]
-    f_sliced = PolySystem(
-        [p for p in fp.polynomials] + [Polynomial(slice_terms, n)],
-        fp.roles,
-        fp.names,
-    )
+    f_sliced = fp.with_polynomials(fp.polynomials + [affine_row(coeffs[0], range(n), n)])
     td = trace_data(f_sliced, pts, move_index=n - dim_D, alpha_seed=seed)
 
     block_per = 3 * n  # x_j, xdot_j, xddot_j
@@ -339,26 +314,23 @@ def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
     def block_var(j, shift, a):
         return Polynomial.variable(j * block_per + shift * n + a, arity)
 
+    def block_row(j, shift, constant):
+        """``c · (block shift of copy j) + constant``."""
+        start = j * block_per + shift * n
+        return affine_row(np.append(coeffs[0, :n], constant), range(start, start + n), arity)
+
     polys = []
     for j in range(r):
         # f(x_j; p) and L_c(x_j)
         polys.extend(emb(p, j, 0) for p in f.polynomials)
-        terms = {(0,) * arity: coeffs[0, n]}
-        for a in range(n):
-            e = [0] * arity
-            e[j * block_per + a] = 1
-            terms[tuple(e)] = coeffs[0, a]
-        polys.append(Polynomial(terms, arity))
+        polys.append(block_row(j, 0, coeffs[0, n]))
         # first-order bordered rows: J f · xdot = 0, c · xdot = 1
         for i in range(m):
             row = Polynomial.zero(arity)
             for a in range(n):
                 row = row + emb(first_partials[i][a], j, 0) * block_var(j, 1, a)
             polys.append(row)
-        row = Polynomial.constant(-1.0, arity)
-        for a in range(n):
-            row = row + coeffs[0, a] * block_var(j, 1, a)
-        polys.append(row)
+        polys.append(block_row(j, 1, -1.0))
         # second-order bordered rows: J f · xddot + xdotᵀ·Hess·xdot = 0, c · xddot = 0
         for i in range(m):
             row = Polynomial.zero(arity)
@@ -371,16 +343,10 @@ def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
                         continue
                     row = row + emb(q, j, 0) * block_var(j, 1, a) * block_var(j, 1, b)
             polys.append(row)
-        row = Polynomial.zero(arity)
-        for a in range(n):
-            row = row + coeffs[0, a] * block_var(j, 2, a)
-        polys.append(row)
-    # trace row
-    row = Polynomial.zero(arity)
-    for j in range(r):
-        for a in range(n):
-            row = row + alpha[a] * block_var(j, 2, a)
-    polys.append(row)
+        polys.append(block_row(j, 2, 0.0))
+    # trace row: α · Σ_j xddot_j
+    xddots = [j * block_per + 2 * n + a for j in range(r) for a in range(n)]
+    polys.append(affine_row(np.append(np.tile(alpha, r), 0.0), xddots, arity))
 
     start = np.concatenate(
         [np.concatenate([td.points[j], td.first_derivs[j], td.second_derivs[j]])
@@ -435,19 +401,14 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, seed=0, p_hat=None)
         imap[i] = n + (n - 1) + a
     polys = [p.remap(arity, imap) for p in f_sliced.polynomials]
     # J f_sliced · R1 · [λ; 1] = 0  (row per equation)
-    lam_vec = [Polynomial.variable(n + a, arity) for a in range(n - 1)]
-    lam_vec.append(Polynomial.constant(1.0, arity))
+    lam_idx = range(n, 2 * n - 1)
     for i in range(n):
         row = Polynomial.zero(arity)
         for a in range(n):
             dia = f_sliced.polynomials[i].diff(var[a]).remap(arity, imap)
             if dia.is_zero():
                 continue
-            combo = Polynomial.zero(arity)
-            for b in range(n):
-                if R1[a, b] != 0:
-                    combo = combo + R1[a, b] * lam_vec[b]
-            row = row + dia * combo
+            row = row + dia * affine_row(R1[a], lam_idx, arity)
         polys.append(row)
     sys = PolySystem(polys, roles, names)
 
@@ -514,7 +475,7 @@ class StabilizeResult:
     refined_point: np.ndarray = None
 
 
-def stabilize(builder, candidates, param_names, p_hat, tol=DEFAULT_RANK_TOL,
+def stabilize(builder, candidates, param_names, p_hat, tol=None,
               seed=0, stop_on_plateau=True, cumulative=False):
     """Assemble conditions while the image dimension keeps dropping.
 
@@ -529,8 +490,10 @@ def stabilize(builder, candidates, param_names, p_hat, tol=DEFAULT_RANK_TOL,
     points, each carrying its own condition) an append that does not strictly
     drop the dimension is discarded as a dependent condition before moving
     on.  With ``stop_on_plateau`` the scan ends at the first non-dropping
-    append; otherwise every candidate is tried.
+    append; otherwise every candidate is tried.  A ``tol`` of None (or 0)
+    means ``DEFAULT_RANK_TOL``.
     """
+    tol = tol or DEFAULT_RANK_TOL
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidates to impose")

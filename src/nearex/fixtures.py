@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import PARAMETER, VARIABLE, Polynomial, PolySystem, parse_system
-from .quaternion import leg_constraint, qconj, qmul
+from .quaternion import leg_constraint
 
 # -- double root of a univariate quadratic ----------------------------------
 

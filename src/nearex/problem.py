@@ -10,15 +10,16 @@ Schema::
       "p_tilde": [..],                  # optional nominal point for studies
       "structure": {"kind": "infinity" | "positive_dim" | "factor"
                             | "multiplicity", ...kind-specific fields},
-      "options": {"seed": 0, "tol_rank": ..., "tol_residual": ...,
-                  "tol_infinity": ..., "max_components": ...}
+      "options": {"seed": 0, "tol_rank": ..., "tol_infinity": ...,
+                  "max_components": ...}
     }
 
 Kind-specific fields: ``infinity``: ``groups`` (lists of variable names,
 default one group of all variables); ``positive_dim``: ``dim``, ``degree``;
 ``factor``: ``dim``, ``subset_size``; ``multiplicity``: ``prefix``, ``dim``.
-All kinds accept ``max_components`` via options to pin the number of
-stabilization trials.
+All kinds but ``infinity`` accept ``max_components`` via options to pin the
+number of stabilization trials; ``infinity`` imposes one condition per suspect
+solution, so setting it there is an error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .algebra import VARIABLE, parse_system
+from .algebra import parse_system
+from .structure import INFINITY_NEAR_TOL
 
 KINDS = ("infinity", "positive_dim", "factor", "multiplicity")
 
@@ -151,11 +153,18 @@ class ProblemFile:
                     raise ProblemError(f"unknown variable {nm!r} in groups")
         return system
 
+    def options_with(self, overrides=None):
+        """The file's options updated by ``overrides``, checked against the kind."""
+        opts = dict(self.options)
+        opts.update(overrides or {})
+        if self.kind == "infinity" and opts.get("max_components") is not None:
+            raise ProblemError("max_components does not apply to an infinity problem")
+        return opts
+
     def run(self, seed=None, overrides=None):
         """Dispatch to the matching recovery pipeline; returns a RunOutcome."""
         system = self.build_system()
-        opts = dict(self.options)
-        opts.update(overrides or {})
+        opts = self.options_with(overrides)
         if seed is None:
             seed = int(opts.get("seed", 0))
         kw = {"seed": seed}
@@ -170,8 +179,8 @@ class ProblemFile:
                 groups = [[system.index_of(nm) for nm in g] for g in groups]
             return engine.recover_infinity(
                 system, self.p_hat, groups=groups,
-                infinity_tol=float(opts.get("tol_infinity", 1e-2)),
-                n_trials=n_trials, **kw,
+                infinity_tol=float(opts.get("tol_infinity", INFINITY_NEAR_TOL)),
+                **kw,
             )
         if kind == "positive_dim":
             return engine.recover_positive_dim(

@@ -9,15 +9,16 @@ square system
 with projective multipliers λ dehomogenized by a generic affine patch b.
 The distance is the holomorphic quadratic Σ(pᵢ−p̂ᵢ)² (no conjugation), which
 agrees with the squared Euclidean distance for real parameters and keeps 𝒢
-polynomial.  The homotopy interpolates only the constraint block,
-𝓕(z) − t·𝓕(ẑ), so the start (ẑ, λ=(1,0,…,0)) is exact at t = 1.
+polynomial.  The descent homotopy puts an offset sⱼ on each constraint row,
+𝓕ⱼ(z) − sⱼ, and moves the offsets on a straight line from 𝓕(ẑ) at t = 1 to
+0 at t = 0, so the start (ẑ, λ=(1,0,…,0)) is exact at t = 1.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .algebra import (
     VARIABLE,
     Polynomial,
     PolySystem,
+    affine_row,
     randomize,
     seeded_rng,
     unit_complex,
@@ -56,14 +58,6 @@ class LagrangeSystem:
     param_indices: list
     lambda_indices: list
     patch: np.ndarray
-
-    @property
-    def n_multipliers(self):
-        return len(self.lambda_indices)
-
-    def reported_size(self):
-        """Equations of 𝓕 plus primal unknowns (multipliers are projective)."""
-        return self.fiber.system_size()
 
     def start_point(self):
         start = np.zeros(self.system.arity, dtype=complex)
@@ -115,10 +109,7 @@ def build_lagrange(F, p_hat=None, patch_seed=0, at_point=None):
     patch = np.empty(M + 1, dtype=complex)
     patch[0] = 1.0
     patch[1:] = PATCH_EPSILON * unit_complex(rng, M)
-    patch_row = Polynomial.constant(-1.0, arity)
-    for j in range(M + 1):
-        patch_row = patch_row + patch[j] * lam[j]
-    polys.append(patch_row)
+    polys.append(affine_row(np.append(patch, -1.0), range(n_primal, arity), arity))
 
     G = PolySystem(polys, roles, names)
     unknowns = G.indices(VARIABLE, AUXILIARY, PARAMETER, MULTIPLIER)
@@ -163,18 +154,14 @@ def descend(G, start=None, opts=None):
     start = G.start_point() if start is None else np.asarray(start, dtype=complex)
     sys = G.system
     M = len(G.lambda_indices) - 1
-    resid0 = sys.evaluate(start)[:M]
-
     arity = sys.arity
-    t = Polynomial.variable(arity, arity + 1)
-    polys = []
-    for j, p in enumerate(sys.polynomials):
-        q = p.remap(arity + 1, list(range(arity)))
-        if j < M:
-            q = q - t * resid0[j]
-        polys.append(q)
-    hsys = PolySystem(polys, sys.roles + [PARAMETER], sys.names + ["_t"])
-    h = Homotopy(hsys, list(range(arity)), arity)
+    polys = [p.remap(arity + M, range(arity)) for p in sys.polynomials]
+    for j in range(M):
+        polys[j] = polys[j] - Polynomial.variable(arity + j, arity + M)
+    names = [f"[s{j}]" for j in range(M)]
+    hsys = PolySystem(polys, sys.roles + [PARAMETER] * M, sys.names + names)
+    h = Homotopy(hsys, range(arity), range(arity, arity + M),
+                 sys.evaluate(start)[:M], np.zeros(M))
 
     opts = opts or TrackingOptions()
     res = track_path(h, start, opts)

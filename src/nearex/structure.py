@@ -19,20 +19,13 @@ from .algebra import (
     PARAMETER,
     VARIABLE,
     PolySystem,
-    concat_systems,
     generic_slice,
     randomize,
     seeded_rng,
     unit_complex,
 )
-from .numlin import (
-    SingularMatrixError,
-    null_space,
-    nullity,
-    singular_values,
-    solve_square,
-)
-from .tracker import TrackingOptions, newton_refine, solve_total_degree
+from .numlin import SingularMatrixError, singular_values, solve_square
+from .tracker import solve_total_degree
 
 NEAR_SOLUTION_TOL = 1e-4
 NONSOLUTION_TOL = 1e-1
@@ -76,9 +69,6 @@ class WitnessSupersetResult:
     original: PolySystem  # f at the queried parameters
     seed: int
 
-    def near_solutions(self):
-        return [p for p in self.points if NEAR_SOLUTION in p.labels]
-
 
 def solution_residual(f, x):
     """Scale-invariant residual ‖f(x)‖ / (1 + ‖x‖^maxdeg)."""
@@ -97,6 +87,19 @@ def classify_residual(f, x, near_tol=NEAR_SOLUTION_TOL, far_tol=NONSOLUTION_TOL)
     return res, label
 
 
+def parameterized_sliced_system(f, dim_D, seed):
+    """``{R_{n-D} f, L_D}``: the randomized-and-sliced system of
+    :func:`witness_superset` with the parameters left symbolic."""
+    var = f.indices(VARIABLE, AUXILIARY)
+    n = len(var)
+    rand = randomize(f, n - dim_D, seed=seed) if len(f.polynomials) != n - dim_D else f
+    if dim_D == 0:
+        return rand
+    sl = generic_slice(n, dim_D, seed=seed + 1)
+    sl_polys = [q.remap(f.arity, var) for q in sl.polynomials]
+    return f.with_polynomials(rand.polynomials + sl_polys)
+
+
 def witness_superset(f, p, dim_D, seed=0, opts=None):
     """Solve ``{R_{n-D} f, L_D}`` ab initio and classify endpoints against f.
 
@@ -104,18 +107,15 @@ def witness_superset(f, p, dim_D, seed=0, opts=None):
     Returns a :class:`WitnessSupersetResult` so downstream condition builders
     can reuse the realized slice and randomization.
     """
-    fp = f.substitute_params(p) if f.indices(PARAMETER) else f
-    var = fp.indices(VARIABLE, AUXILIARY)
-    n = len(var)
+    n = len(f.indices(VARIABLE, AUXILIARY))
     if n - dim_D < 1:
         raise ValueError(f"n - D = {n - dim_D} must be at least 1")
-    rand = randomize(fp, n - dim_D, seed=seed) if len(fp.polynomials) != n - dim_D else fp
-    if dim_D > 0:
-        sl = generic_slice(n, dim_D, seed=seed + 1)
-        sl_polys = [q.remap(fp.arity, var) for q in sl.polynomials]
-        sliced = fp.with_polynomials(rand.polynomials + sl_polys)
+    sliced = parameterized_sliced_system(f, dim_D, seed)
+    if f.indices(PARAMETER):
+        fp = f.substitute_params(p)
+        sliced = sliced.substitute_params(p)
     else:
-        sliced = rand
+        fp = f
     results = solve_total_degree(sliced, seed=seed + 2, opts=opts)
     points = []
     for r in results:

@@ -1,14 +1,16 @@
 """Predictor–corrector path tracking for polynomial homotopies.
 
-A :class:`Homotopy` is just a :class:`~nearex.algebra.PolySystem` with one
-distinguished path indeterminate ``t``; the remaining indeterminates are the
-tracked unknowns.  Prediction is fourth-order Runge–Kutta on the Davidenko
-equation ``J_x dx/dt = -dH/dt``, correction is plain Newton at fixed ``t``.
+Every homotopy is a straight line in some of a system's own indeterminates:
+a :class:`Homotopy` tracks ``H(x, t) = F(x; q0 + t·(q1 − q0))``, where the
+path indeterminates ``q`` run from ``q1`` at t = 1 to ``q0`` at t = 0 and the
+remaining indeterminates ``x`` are the tracked unknowns.  Prediction is
+fourth-order Runge–Kutta on the Davidenko equation ``J_x dx/dt = -dH/dt``,
+correction is plain Newton at fixed ``t``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,25 +48,40 @@ class TrackingOptions:
 
 
 class Homotopy:
-    """A square-along-the-path system ``H(x, t)`` with unknowns at ``unknowns``."""
+    """``H(x, t) = system(x; q0 + t·(q1 − q0))``: the path indeterminates at
+    ``path`` move on a straight line, the ones at ``unknowns`` are tracked."""
 
-    def __init__(self, system, unknowns, t_index):
-        if len(system.polynomials) != len(unknowns):
-            raise ValueError(
-                f"{len(system.polynomials)} equations for {len(unknowns)} unknowns"
-            )
-        if t_index in unknowns:
-            raise ValueError("path indeterminate cannot be an unknown")
+    def __init__(self, system, unknowns, path, q1, q0):
         self.system = system
         self.unknowns = list(unknowns)
-        self.t_index = t_index
-        if sorted(self.unknowns + [t_index]) != list(range(system.arity)):
-            raise ValueError("unknowns plus t must cover all indeterminates")
+        path = list(path)
+        if len(system.polynomials) != len(self.unknowns):
+            raise ValueError(
+                f"{len(system.polynomials)} equations for {len(self.unknowns)} unknowns"
+            )
+        if sorted(self.unknowns + path) != list(range(system.arity)):
+            raise ValueError("unknowns and path indeterminates must partition the indeterminates")
+        q1 = np.asarray(q1, dtype=complex)
+        q0 = np.asarray(q0, dtype=complex)
+        if q1.shape != (len(path),) or q0.shape != (len(path),):
+            raise ValueError(f"expected {len(path)} path values at each end")
+        # full-length vectors, zero at the unknowns: a point costs one axpy
+        # and one scatter, and dH/dt = J · direction
+        self.base = np.zeros(system.arity, dtype=complex)
+        self.base[path] = q0
+        self.direction = np.zeros(system.arity, dtype=complex)
+        self.direction[path] = q1 - q0
+        # per-call overhead dominates on small systems: a contiguous run of
+        # unknowns is indexed by a slice, which is far cheaper than an array
+        first = self.unknowns[0] if self.unknowns else 0
+        contiguous = self.unknowns == list(range(first, first + len(self.unknowns)))
+        self._cols = (slice(first, first + len(self.unknowns)) if contiguous
+                      else np.asarray(self.unknowns, dtype=np.intp))
 
     def _full(self, x, t):
-        full = np.empty(self.system.arity, dtype=complex)
-        full[self.unknowns] = x
-        full[self.t_index] = t
+        full = self.direction * t
+        full += self.base
+        full[self._cols] = x
         return full
 
     def evaluate(self, x, t):
@@ -73,11 +90,7 @@ class Homotopy:
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
         J = self.system.compiled.jacobian(self._full(x, t))
-        return J[:, self.unknowns], J[:, self.t_index]
-
-    @property
-    def n_unknowns(self):
-        return len(self.unknowns)
+        return J[:, self._cols], J.dot(self.direction)
 
 
 @dataclass
@@ -203,36 +216,26 @@ def _square_check(sys):
     return unk
 
 
-def _with_t(sys, polys):
-    """Append a path indeterminate t and return (system, t_index)."""
-    arity = sys.arity
-    return (
-        PolySystem(
-            [p.remap(arity + 1, list(range(arity))) for p in polys],
-            sys.roles + [PARAMETER],
-            sys.names + ["_t"],
-        ),
-        arity,
-    )
-
-
 def linear_homotopy(target, start_sys, gamma):
-    """``H = t*gamma*G + (1-t)*F`` over the shared indeterminates of ``target``.
+    """``H = (1-t)·F + t·γ·G`` as ``a·F + b·G`` with ``(a, b)`` going from
+    ``(0, γ)`` at t = 1 to ``(1, 0)`` at t = 0.
 
     Both systems must be square in the non-parameter indeterminates of
     ``target`` (which must have no free parameters).
     """
     unk = _square_check(target)
     arity = target.arity
-    t = Polynomial.variable(arity, arity + 1)
-    one_minus_t = Polynomial.constant(1.0, arity + 1) - t
-    polys = []
-    for F, G in zip(target.polynomials, start_sys.polynomials):
-        F1 = F.remap(arity + 1, list(range(arity)))
-        G1 = G.remap(arity + 1, list(range(arity)))
-        polys.append(one_minus_t * F1 + (gamma * t) * G1)
-    hsys = PolySystem(polys, target.roles + [PARAMETER], target.names + ["_t"])
-    return Homotopy(hsys, unk, arity)
+    a = Polynomial.variable(arity, arity + 2)
+    b = Polynomial.variable(arity + 1, arity + 2)
+    embed = list(range(arity))
+    polys = [
+        a * F.remap(arity + 2, embed) + b * G.remap(arity + 2, embed)
+        for F, G in zip(target.polynomials, start_sys.polynomials)
+    ]
+    # bracketed names cannot come out of the problem grammar, so never clash
+    hsys = PolySystem(polys, target.roles + [PARAMETER] * 2,
+                      target.names + ["[a]", "[b]"])
+    return Homotopy(hsys, unk, [arity, arity + 1], [0.0, gamma], [1.0, 0.0])
 
 
 def total_degree_start(sys, seed=0):
@@ -276,29 +279,7 @@ def solve_total_degree(sys, params=None, seed=0, opts=None):
 
 def parameter_homotopy(sys, p1, p0, starts, opts=None):
     """Track solutions of ``sys`` from parameters ``p1`` (t=1) to ``p0`` (t=0)."""
-    unk = _square_check(sys)
-    par = sys.indices(PARAMETER)
-    p1 = np.asarray(p1, dtype=complex)
-    p0 = np.asarray(p0, dtype=complex)
-    if len(par) != p1.shape[0] or len(par) != p0.shape[0]:
-        raise ValueError(f"expected {len(par)} parameter values")
-    arity = sys.arity
-    # substitute p_i -> p0_i + t*(p1_i - p0_i); keeps the homotopy polynomial in t
-    args = []
-    t = Polynomial.variable(arity, arity + 1)
-    for i in range(arity):
-        if i in par:
-            k = par.index(i)
-            args.append(Polynomial.constant(p0[k], arity + 1) + t * (p1[k] - p0[k]))
-        else:
-            args.append(Polynomial.variable(i, arity + 1))
-    polys = [p.compose(args, arity + 1) for p in sys.polynomials]
-    hsys = PolySystem(polys, sys.roles + [PARAMETER], sys.names + ["_t"])
-    # drop the now-constant parameter columns from the unknown list
-    keep = [i for i in range(arity) if i not in par]
-    sub = hsys.substitute({i: 0.0 for i in par})  # params no longer appear
-    unk_new = [keep.index(i) for i in unk]
-    h = Homotopy(sub, unk_new, len(keep))
+    h = Homotopy(sys, _square_check(sys), sys.indices(PARAMETER), p1, p0)
     opts = opts or TrackingOptions()
     return [track_path(h, np.asarray(x, dtype=complex), opts) for x in starts]
 

@@ -41,6 +41,22 @@ def test_malformed_problem_file_exits_one(tmp_path):
     assert run_cli("recover", tmp_path / "missing.json") == 1
 
 
+def test_unknown_flag_is_an_input_error(tmp_path):
+    # --tol-residual was once parsed and then ignored; it is no longer a flag
+    assert run_cli("recover", FIXTURE_DIR / "posdim.json", "--tol-residual", "1e-3",
+                   "--out-dir", tmp_path) == 1
+    assert run_cli("recover") == 1  # missing problem argument
+    assert run_cli("--help") == 0
+
+
+def test_max_components_is_rejected_for_infinity(tmp_path):
+    problem = FIXTURE_DIR / "infinity_example.json"
+    assert run_cli("recover", problem, "--max-components", 2, "--out-dir", tmp_path) == 1
+    assert run_cli("study", problem, "--n", 1, "--max-components", 2,
+                   "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "study.csv").exists()
+
+
 def test_seed_override_changes_nothing_essential(tmp_path):
     # a different seed still recovers the same parameter point
     code = run_cli("recover", FIXTURE_DIR / "posdim.json", "--seed", 5,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nearex.algebra import parse_system, seeded_rng
+from nearex.algebra import PARAMETER, VARIABLE, parse_system, seeded_rng
 from nearex.structure import cluster_points
 from nearex.tracker import (
+    Homotopy,
     TrackingOptions,
+    linear_homotopy,
     newton_refine,
     parameter_homotopy,
     solve_total_degree,
@@ -136,6 +138,44 @@ def test_parameter_homotopy_moves_roots():
     results = parameter_homotopy(sys, [4.0], [9.0], starts)
     ends = sorted(r.endpoint[0].real for r in results)
     assert ends == pytest.approx([-3.0, 3.0], abs=1e-10)
+
+
+def central_difference_in_t(h, x, t, step=1e-5):
+    return (h.evaluate(x, t + step) - h.evaluate(x, t - step)) / (2.0 * step)
+
+
+def test_parameter_homotopy_derivative_and_endpoints():
+    sys = parse_system(
+        "vars x, y; params p, q; poly p*x^2 - q*y + 1; poly x*y - p^2 + q^3*x;"
+    )
+    q1 = np.array([1.5 + 0.2j, -0.7])
+    q0 = np.array([0.3, 2.0 - 1.0j])
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), q1, q0)
+    x = np.array([0.4 - 0.3j, 1.1 + 0.5j])
+    for t in (0.0, 0.37, 1.0):
+        Jx, Ht = h.jacobians(x, t)
+        assert np.allclose(Ht, central_difference_in_t(h, x, t), rtol=1e-8, atol=1e-8)
+        p = q0 + t * (q1 - q0)
+        assert np.allclose(Jx, sys.substitute_params(p).jacobian(x), rtol=1e-14)
+    assert np.allclose(h.evaluate(x, 1.0), sys.substitute_params(q1).evaluate(x),
+                       rtol=1e-14, atol=1e-14)
+    assert np.allclose(h.evaluate(x, 0.0), sys.substitute_params(q0).evaluate(x),
+                       rtol=1e-14, atol=1e-14)
+
+
+def test_total_degree_homotopy_derivative_and_endpoints():
+    target = parse_system("vars x, y; poly x^2 + y - 1; poly x*y^2 - 2;")
+    start_sys, _ = total_degree_start(target, seed=0)
+    gamma = np.exp(0.7j)
+    h = linear_homotopy(target, start_sys, gamma)
+    x = np.array([0.4 - 0.3j, 1.1 + 0.5j])
+    for t in (0.0, 0.37, 1.0):
+        _, Ht = h.jacobians(x, t)
+        assert np.allclose(Ht, central_difference_in_t(h, x, t), rtol=1e-8, atol=1e-8)
+        assert np.allclose(Ht, gamma * start_sys.evaluate(x) - target.evaluate(x),
+                           rtol=1e-14)
+    assert np.allclose(h.evaluate(x, 1.0), gamma * start_sys.evaluate(x), rtol=1e-14)
+    assert np.allclose(h.evaluate(x, 0.0), target.evaluate(x), rtol=1e-14)
 
 
 def test_newton_refine_converges_quadratically():
