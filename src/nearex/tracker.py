@@ -53,13 +53,13 @@ class Homotopy:
 
     def __init__(self, system, unknowns, path, q1, q0):
         self.system = system
-        self.unknowns = list(unknowns)
-        path = list(path)
+        self.unknowns = np.asarray(unknowns, dtype=np.intp)
+        path = np.asarray(path, dtype=np.intp)
         if len(system.polynomials) != len(self.unknowns):
             raise ValueError(
                 f"{len(system.polynomials)} equations for {len(self.unknowns)} unknowns"
             )
-        if sorted(self.unknowns + path) != list(range(system.arity)):
+        if not np.array_equal(np.sort(np.concatenate([self.unknowns, path])), np.arange(system.arity)):
             raise ValueError("unknowns and path indeterminates must partition the indeterminates")
         q1 = np.asarray(q1, dtype=complex)
         q0 = np.asarray(q0, dtype=complex)
@@ -71,17 +71,11 @@ class Homotopy:
         self.base[path] = q0
         self.direction = np.zeros(system.arity, dtype=complex)
         self.direction[path] = q1 - q0
-        # per-call overhead dominates on small systems: a contiguous run of
-        # unknowns is indexed by a slice, which is far cheaper than an array
-        first = self.unknowns[0] if self.unknowns else 0
-        contiguous = self.unknowns == list(range(first, first + len(self.unknowns)))
-        self._cols = (slice(first, first + len(self.unknowns)) if contiguous
-                      else np.asarray(self.unknowns, dtype=np.intp))
 
     def _full(self, x, t):
         full = self.direction * t
         full += self.base
-        full[self._cols] = x
+        full[self.unknowns] = x
         return full
 
     def evaluate(self, x, t):
@@ -90,7 +84,7 @@ class Homotopy:
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
         J = self.system.compiled.jacobian(self._full(x, t))
-        return J[:, self._cols], J.dot(self.direction)
+        return J[:, self.unknowns], J.dot(self.direction)
 
 
 @dataclass
