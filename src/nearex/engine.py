@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import structure
 from .algebra import (
     AUXILIARY,
     PARAMETER,
@@ -57,12 +58,16 @@ from .structure import (
     classify_infinity,
     cluster_points,
     local_hilbert,
-    parameterized_sliced_system,
     solution_residual,
     trace_data,
     witness_superset,
 )
 from .tracker import SINGULAR_ENDPOINT, parameter_homotopy, solve_total_degree
+
+# The pipelines take the detection system with symbolic parameters from
+# ``WitnessSupersetResult.parameterized``; callers that build a condition by
+# hand import the function from here.
+parameterized_sliced_system = structure.parameterized_sliced_system
 
 VALIDATION_TIGHTENING = 100.0
 TIGHT_TOL = NEAR_SOLUTION_TOL / VALIDATION_TIGHTENING
@@ -407,7 +412,7 @@ def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed, trace_tol):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
     n = len(f.indices(VARIABLE, AUXILIARY))
-    sliced_param = parameterized_sliced_system(f, dim_D, seed)
+    sliced_param = ws.parameterized
     tracked = parameter_homotopy(sliced_param, p_hat, res.p_star, wpts)
     if not all(r.success for r in tracked):
         return {"passed": False, "error": "witness tracking to p_star failed"}
@@ -435,7 +440,7 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
     p_hat = np.asarray(p_hat, dtype=complex)
     param_names = [f.names[i] for i in f.indices(PARAMETER)]
     ws = witness_superset(f, p_hat, dim_D, seed=seed)
-    sliced_param = parameterized_sliced_system(f, dim_D, seed)
+    sliced_param = ws.parameterized
     var = sliced_param.indices(VARIABLE, AUXILIARY)
 
     # candidates ordered by how nearly the original system vanishes; the

@@ -2,12 +2,21 @@
 
 Thin wrappers over LAPACK (via numpy/scipy) that make the numerical-rank
 tolerance policy of the package explicit in one place.
+
+Square solves call LAPACK ``zgetrf``/``zgetrs`` directly.  They are the
+routines that ``scipy.linalg.lu_factor``/``lu_solve`` wrap, so the results
+are bit for bit the same, but SciPy's batching and array-conversion layers
+cost several times the LAPACK work of the tracker's small solves.  ``zgesv``
+and ``np.linalg.solve`` round differently in the last bits.  A raw ``zgetrf``
+reports an exactly zero pivot in ``info`` rather than by a ``LinAlgWarning``,
+so that case raises :class:`SingularMatrixError` like any other small pivot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 DEFAULT_RANK_TOL = 1e-8
 _PIVOT_TOL = 1e-14
@@ -32,16 +41,15 @@ def solve_square(A, b):
     if A.shape[0] == 0:
         return np.zeros_like(b)
     norm = np.linalg.norm(A)
-    try:
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    lu, piv, info = zgetrf(A)
+    if info < 0:
+        raise SingularMatrixError(f"illegal value in argument {-info} of zgetrf")
     pivots = np.abs(np.diag(lu))
     if norm == 0 or pivots.min() <= _PIVOT_TOL * norm:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold {_PIVOT_TOL * norm:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return zgetrs(lu, piv, b)[0]
 
 
 def singular_values(A):

@@ -64,6 +64,7 @@ class WitnessSupersetResult:
 
     points: list
     sliced_system: PolySystem  # randomized f rows followed by slice rows
+    parameterized: PolySystem  # the same rows with the parameters left symbolic
     slice_rows: int
     randomized_rows: int
     original: PolySystem  # f at the queried parameters
@@ -110,12 +111,12 @@ def witness_superset(f, p, dim_D, seed=0, opts=None):
     n = len(f.indices(VARIABLE, AUXILIARY))
     if n - dim_D < 1:
         raise ValueError(f"n - D = {n - dim_D} must be at least 1")
-    sliced = parameterized_sliced_system(f, dim_D, seed)
+    parameterized = parameterized_sliced_system(f, dim_D, seed)
     if f.indices(PARAMETER):
         fp = f.substitute_params(p)
-        sliced = sliced.substitute_params(p)
+        sliced = parameterized.substitute_params(p)
     else:
-        fp = f
+        fp, sliced = f, parameterized
     results = solve_total_degree(sliced, seed=seed + 2, opts=opts)
     points = []
     for r in results:
@@ -130,6 +131,7 @@ def witness_superset(f, p, dim_D, seed=0, opts=None):
     return WitnessSupersetResult(
         points=points,
         sliced_system=sliced,
+        parameterized=parameterized,
         slice_rows=dim_D,
         randomized_rows=n - dim_D,
         original=fp,

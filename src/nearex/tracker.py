@@ -24,7 +24,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, solve_square
+from .numlin import SingularMatrixError, lstsq, solve_square
 
 SUCCESS = "success"
 DIVERGED = "diverged"
@@ -101,16 +101,22 @@ class TrackResult:
 
 
 def _newton_correct(h, x, t, tol, max_steps):
-    """Newton at fixed t. Returns (x, residual, converged)."""
-    res = float(np.linalg.norm(h.evaluate(x, t)))
+    """Newton at fixed t. Returns (x, residual, converged).
+
+    H is evaluated once per iterate: the value that gives an iterate's
+    residual is the right-hand side of the step from it.
+    """
+    H = h.evaluate(x, t)
+    res = float(np.linalg.norm(H))
     for _ in range(max_steps):
         Jx, _ = h.jacobians(x, t)
         try:
-            dx = solve_square(Jx, -h.evaluate(x, t))
+            dx = solve_square(Jx, -H)
         except SingularMatrixError:
             return x, res, False
         x = x + dx
-        res = float(np.linalg.norm(h.evaluate(x, t)))
+        H = h.evaluate(x, t)
+        res = float(np.linalg.norm(H))
         if np.linalg.norm(dx) <= tol:
             return x, res, True
     return x, res, res <= tol
@@ -185,13 +191,13 @@ def track_path(h, start, opts=None):
 
 def _gauss_newton_polish(h, x, opts, iters=40):
     """Least-squares fallback at t=0 for singular endpoints."""
-    from .numlin import lstsq  # local import to avoid a cycle at module load
-
-    best, best_res = x, float(np.linalg.norm(h.evaluate(x, 0.0)))
+    H = h.evaluate(x, 0.0)
+    best, best_res = x, float(np.linalg.norm(H))
     for _ in range(iters):
         Jx, _ = h.jacobians(x, 0.0)
-        x = x + lstsq(Jx, -h.evaluate(x, 0.0))
-        res = float(np.linalg.norm(h.evaluate(x, 0.0)))
+        x = x + lstsq(Jx, -H)
+        H = h.evaluate(x, 0.0)
+        res = float(np.linalg.norm(H))
         if not np.isfinite(res):
             break
         if res < best_res:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nearex.algebra import seeded_rng
@@ -33,6 +36,38 @@ def test_solve_square_raises_on_singular_matrix():
         solve_square(A, np.ones(2))
     with pytest.raises(SingularMatrixError):
         solve_square(np.zeros((2, 2)), np.ones(2))
+
+
+def test_exactly_singular_matrix_raises_even_with_warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            solve_square([[1, 2], [2, 4]], [1, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 40, 135])
+def test_solve_square_is_bitwise_lu_factor_then_lu_solve(n):
+    rng = seeded_rng(5, n)
+    for rhs_shape in [(n,), (n, 3)]:
+        A = random_complex(rng, n, n)
+        b = random_complex(rng, *rhs_shape)
+        reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+        assert np.array_equal(solve_square(A, b), reference)
+
+
+def test_pivot_threshold_is_relative_to_the_norm():
+    def triangular(last_pivot):
+        # upper triangular with a dominant first column: partial pivoting
+        # keeps the rows, so the pivots are the diagonal
+        return np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, last_pivot]])
+
+    threshold = 1e-14 * np.linalg.norm(triangular(0.0))
+    b = np.ones(3)
+    above = triangular(threshold * (1 + 1e-6))
+    x = solve_square(above, b)
+    assert np.linalg.norm(above @ x - b) < 1e-6 * np.linalg.norm(x)
+    with pytest.raises(SingularMatrixError, match="below threshold"):
+        solve_square(triangular(threshold * (1 - 1e-6)), b)
 
 
 def test_solve_square_rejects_bad_shapes():

@@ -6,6 +6,7 @@ from nearex.structure import cluster_points
 from nearex.tracker import (
     Homotopy,
     TrackingOptions,
+    _newton_correct,
     linear_homotopy,
     newton_refine,
     parameter_homotopy,
@@ -176,6 +177,30 @@ def test_total_degree_homotopy_derivative_and_endpoints():
                            rtol=1e-14)
     assert np.allclose(h.evaluate(x, 1.0), gamma * start_sys.evaluate(x), rtol=1e-14)
     assert np.allclose(h.evaluate(x, 0.0), target.evaluate(x), rtol=1e-14)
+
+
+def test_newton_corrector_evaluates_h_once_per_iterate():
+    sys = parse_system("vars x, y; params p; poly x^2 + y^2 - p; poly x - y^3;")
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [2.0], [1.0])
+    evaluate = h.evaluate
+    calls = {"evaluate": 0, "jacobians": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    h.evaluate = counted("evaluate", h.evaluate)
+    h.jacobians = counted("jacobians", h.jacobians)
+    for max_steps in (1, 3, 30):
+        calls.update(evaluate=0, jacobians=0)
+        x, res, ok = _newton_correct(h, np.array([0.9 + 0.1j, 0.8]), 0.5, 1e-12, max_steps)
+        iterates = calls["jacobians"]  # one Jacobian per Newton step
+        assert 1 <= iterates <= max_steps
+        assert calls["evaluate"] == iterates + 1
+        assert res == float(np.linalg.norm(evaluate(x, 0.5)))
+    assert ok and res < 1e-12
 
 
 def test_newton_refine_converges_quadratically():
