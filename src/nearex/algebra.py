@@ -113,12 +113,7 @@ class Polynomial:
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+        _add_terms(out, other.terms.items())
         return Polynomial(out, self.arity)
 
     __radd__ = __add__
@@ -214,7 +209,6 @@ class Polynomial:
         Returns a polynomial over the remaining indeterminates (in order).
         """
         keep = [i for i in range(self.arity) if i not in values]
-        pos = {i: j for j, i in enumerate(keep)}
         out = {}
         for e, c in self.terms.items():
             v = c
@@ -233,13 +227,25 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
+def _add_terms(out, items):
+    """Add (exponents, coefficient) pairs into the term map ``out`` in place,
+    dropping any term whose coefficient sums to zero."""
+    for e, c in items:
+        s = out.get(e, 0) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+
+
 def format_polynomial(poly, names=None):
+    """Terms in stored order, so parsing gives back the same term order (and
+    with it the same compiled arrays, bit for bit)."""
     if not poly.terms:
         return "0"
     names = names or [f"z{i}" for i in range(poly.arity)]
     pieces = []
-    for e in sorted(poly.terms, key=lambda t: (sum(t), t)):
-        c = poly.terms[e]
+    for e, c in poly.terms.items():
         factors = [_format_complex(c)]
         for i, k in enumerate(e):
             if k == 1:
@@ -553,12 +559,13 @@ class _Parser:
                 sign = -sign
             self.next()
             tok = self.peek()
-        total = self.term() * sign
+        # summed in place: adding Polynomials would copy the sum at every term
+        total = dict((self.term() * sign).terms)
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
-        return total
+            _add_terms(total, (rhs if op == "+" else -rhs).terms.items())
+        return Polynomial(total, self.arity)
 
     def term(self):
         total = self.factor()
@@ -719,19 +726,11 @@ def affine_row(coeffs, indices, arity):
     return Polynomial(terms, arity)
 
 
-def generic_slice(n_vars, codim, seed=0, coefficients=None):
-    """``codim`` generic affine-linear polynomials in ``n_vars`` indeterminates.
-
-    ``coefficients`` (rows of length n_vars+1, constant last) fixes the slice
-    instead of drawing it from the seed.
-    """
+def generic_slice(n_vars, codim, seed=0):
+    """``codim`` generic affine-linear polynomials in ``n_vars`` indeterminates."""
     if not 0 < codim <= n_vars:
         raise ValueError(f"codim must be in 1..{n_vars}, got {codim}")
-    if coefficients is not None:
-        coeffs = np.asarray(coefficients, dtype=complex).reshape(codim, n_vars + 1)
-    else:
-        rng = seeded_rng(seed)
-        coeffs = unit_complex(rng, (codim, n_vars + 1))
+    coeffs = unit_complex(seeded_rng(seed), (codim, n_vars + 1))
     polys = [affine_row(row, range(n_vars), n_vars) for row in coeffs]
     names = [f"s{i}" for i in range(n_vars)]
     return PolySystem(polys, [VARIABLE] * n_vars, names)

@@ -36,6 +36,10 @@ WITNESS = "witness"
 TRACE = "trace"
 HILBERT = "hilbert"
 
+# Gauss-Newton refinement of a fiber-product point before its rank is read
+REFINE_TOL = 1e-9  # relative to 1 + the coefficient norm
+MAX_REFINE = 60
+
 
 @dataclass
 class ConditionSystem:
@@ -164,7 +168,7 @@ def build_infinity_condition(hom, scheme, group, suspect):
     )
 
 
-def move_to_slice(detection, points, new_coeffs, opts=None):
+def move_to_slice(detection, points, new_coeffs):
     """Track witness points from the detection slice onto a new slice.
 
     The slice coefficients are the path indeterminates: they move on a
@@ -198,7 +202,7 @@ def move_to_slice(detection, points, new_coeffs, opts=None):
     h = Homotopy(hsys, range(n), range(n, arity), old_rows.ravel(), new_coeffs.ravel())
     out = []
     for p in points:
-        res = track_path(h, np.asarray(p, dtype=complex), opts)
+        res = track_path(h, np.asarray(p, dtype=complex))
         if not res.success:
             raise RuntimeError(f"slice-moving homotopy failed: {res.status}")
         out.append(res.endpoint)
@@ -433,20 +437,19 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, seed=0, p_hat=None)
     )
 
 
-def image_dimension(F, point=None, tol=DEFAULT_RANK_TOL, refine_tol=1e-9, max_refine=60):
+def image_dimension(F, tol=DEFAULT_RANK_TOL):
     """Dimension of the local projection of V(𝓕) onto parameter space.
 
-    Gauss–Newton refines ``point`` onto V(𝓕); the parameter rows of a
+    Gauss–Newton refines the start point onto V(𝓕); the parameter rows of a
     null-space basis of the full Jacobian there span the tangent directions
     visible in parameter space, and their rank is the local image dimension.
     """
     sys = F.full_system
-    x = np.asarray(F.start_point() if point is None else point, dtype=complex).copy()
-    cols = list(range(sys.arity))
+    x = np.asarray(F.start_point(), dtype=complex).copy()
     res = np.linalg.norm(sys.evaluate(x))
     scale = 1.0 + sys.coefficient_norm()
-    for _ in range(max_refine):
-        if res <= refine_tol * scale:
+    for _ in range(MAX_REFINE):
+        if res <= REFINE_TOL * scale:
             break
         J = sys.jacobian(x)
         dx = lstsq(J, -sys.evaluate(x))
@@ -456,7 +459,7 @@ def image_dimension(F, point=None, tol=DEFAULT_RANK_TOL, refine_tol=1e-9, max_re
             break
         x, res = x_new, res_new
     else:
-        if res > refine_tol * scale:
+        if res > REFINE_TOL * scale:
             raise RuntimeError(
                 f"could not refine the start point onto the fiber product "
                 f"(residual {res:.3e})"

@@ -36,7 +36,7 @@ def solve_square(A, b):
     b = np.asarray(b, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if b.shape[0] != A.shape[0]:
+    if b.ndim == 0 or b.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
     if A.shape[0] == 0:
         return np.zeros_like(b)

@@ -40,7 +40,6 @@ from .tracker import (
     Homotopy,
     SINGULAR_ENDPOINT,
     SUCCESS,
-    TrackingOptions,
     TrackResult,
     newton_refine,
     track_path,
@@ -66,7 +65,7 @@ class LagrangeSystem:
         return start
 
 
-def build_lagrange(F, p_hat=None, patch_seed=0, at_point=None):
+def build_lagrange(F, patch_seed=0):
     """Square critical-point system for the nearest parameters on π(V(𝓕)).
 
     If the Jacobian of 𝓕 is row-rank-deficient at the start point (stacked
@@ -74,10 +73,9 @@ def build_lagrange(F, p_hat=None, patch_seed=0, at_point=None):
     numerical rank first; otherwise the multiplier system would be singular
     along the left kernel for the whole descent path.
     """
-    p_hat = F.p_hat if p_hat is None else np.asarray(p_hat, dtype=complex)
+    p_hat = F.p_hat
     base = F.full_system
-    probe = F.start_point() if at_point is None else np.asarray(at_point, dtype=complex)
-    rank = numerical_rank(base.jacobian(probe))
+    rank = numerical_rank(base.jacobian(F.start_point()))
     if rank < len(base.polynomials):
         base = randomize(base, rank, seed=patch_seed + 71)
     M = len(base.polynomials)
@@ -149,9 +147,9 @@ class RecoveryResult:
         return self.status.startswith("recovered")
 
 
-def descend(G, start=None, opts=None):
+def descend(G):
     """Track the gradient-descent homotopy from t=1 to t=0 and extract p*."""
-    start = G.start_point() if start is None else np.asarray(start, dtype=complex)
+    start = G.start_point()
     sys = G.system
     M = len(G.lambda_indices) - 1
     arity = sys.arity
@@ -163,8 +161,7 @@ def descend(G, start=None, opts=None):
     h = Homotopy(hsys, range(arity), range(arity, arity + M),
                  sys.evaluate(start)[:M], np.zeros(M))
 
-    opts = opts or TrackingOptions()
-    res = track_path(h, start, opts)
+    res = track_path(h, start)
     endpoint = res.endpoint
     if res.status == SUCCESS:
         endpoint, _ = newton_refine(

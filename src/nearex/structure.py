@@ -30,7 +30,7 @@ from .tracker import solve_total_degree
 NEAR_SOLUTION_TOL = 1e-4
 NONSOLUTION_TOL = 1e-1
 INFINITY_NEAR_TOL = 1e-2
-INFINITY_AT_TOL = 1e-10
+SUBSET_CAP = 4  # above 8 witness points, trace subsets of at most this size (and all)
 
 NONSOLUTION = "nonsolution"
 NEAR_SOLUTION = "near-solution"
@@ -101,7 +101,7 @@ def parameterized_sliced_system(f, dim_D, seed):
     return f.with_polynomials(rand.polynomials + sl_polys)
 
 
-def witness_superset(f, p, dim_D, seed=0, opts=None):
+def witness_superset(f, p, dim_D, seed=0):
     """Solve ``{R_{n-D} f, L_D}`` ab initio and classify endpoints against f.
 
     ``f`` has variable and parameter roles; ``p`` fixes the parameters.
@@ -117,7 +117,7 @@ def witness_superset(f, p, dim_D, seed=0, opts=None):
         sliced = parameterized.substitute_params(p)
     else:
         fp, sliced = f, parameterized
-    results = solve_total_degree(sliced, seed=seed + 2, opts=opts)
+    results = solve_total_degree(sliced, seed=seed + 2)
     points = []
     for r in results:
         cp = ClassifiedPoint(point=r.endpoint, track_status=r.status)
@@ -228,7 +228,7 @@ def _hessian_quadratic_form(poly, var, w, wdot):
     return total
 
 
-def trace_data(f_sliced, witness, move_index, alpha_seed=0, subset_cap=4):
+def trace_data(f_sliced, witness, move_index, alpha_seed=0):
     """First/second derivatives of witness points as one slice form moves.
 
     ``f_sliced`` is the square sliced system; row ``move_index`` is the affine
@@ -269,7 +269,7 @@ def trace_data(f_sliced, witness, move_index, alpha_seed=0, subset_cap=4):
         ]
     else:
         index_subsets = [
-            s for size in range(1, subset_cap + 1)
+            s for size in range(1, SUBSET_CAP + 1)
             for s in itertools.combinations(range(r), size)
         ]
         index_subsets.append(tuple(range(r)))

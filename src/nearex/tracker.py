@@ -32,19 +32,19 @@ SINGULAR_ENDPOINT = "singular-endpoint"
 STEP_FAILURE = "step-failure"
 
 
-@dataclass
-class TrackingOptions:
-    initial_step: float = 0.05
-    min_step: float = 1e-14
-    max_step: float = 0.1
-    corrector_tol: float = 1e-10
-    corrector_steps: int = 3
-    growth_after: int = 5
-    divergence_bound: float = 1e12
-    endgame_t: float = 1e-6
-    salvage_t: float = 1e-3  # below this t, step failure defers to the endpoint polish
-    start_tol: float = 1e-8
-    polish_iters: int = 10
+# step control, in t
+INITIAL_STEP = 0.05
+MIN_STEP = 1e-14
+MAX_STEP = 0.1
+GROWTH_AFTER = 5  # successful steps in a row before the step doubles
+ENDGAME_T = 1e-6  # tracking stops here; Newton at t=0 finishes the path
+SALVAGE_T = 1e-3  # below this t, step failure defers to the endpoint polish
+# correction and classification
+CORRECTOR_TOL = 1e-10
+CORRECTOR_STEPS = 3
+POLISH_ITERS = 10
+START_TOL = 1e-8
+DIVERGENCE_BOUND = 1e12
 
 
 class Homotopy:
@@ -136,26 +136,25 @@ def _predict_rk4(h, x, t, dt):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def track_path(h, start, opts=None):
+def track_path(h, start):
     """Track one solution path of ``h`` from t=1 down to t=0."""
-    opts = opts or TrackingOptions()
     x = np.asarray(start, dtype=complex).copy()
     t = 1.0
     start_res = float(np.linalg.norm(h.evaluate(x, t)))
-    if start_res > opts.start_tol:
+    if start_res > START_TOL:
         raise ValueError(
-            f"start point residual {start_res:.3e} exceeds tolerance {opts.start_tol:.3e}"
+            f"start point residual {start_res:.3e} exceeds tolerance {START_TOL:.3e}"
         )
-    dt = opts.initial_step
+    dt = INITIAL_STEP
     steps = 0
     run = 0
-    while t > opts.endgame_t:
+    while t > ENDGAME_T:
         dt = min(dt, t - 0.0)  # never step past t=0
         step = min(dt, t)
         try:
             x_pred = _predict_rk4(h, x, t, -step)
             x_new, res, ok = _newton_correct(
-                h, x_pred, t - step, opts.corrector_tol, opts.corrector_steps
+                h, x_pred, t - step, CORRECTOR_TOL, CORRECTOR_STEPS
             )
         except SingularMatrixError:
             ok = False
@@ -163,33 +162,33 @@ def track_path(h, start, opts=None):
         steps += 1
         if ok and np.all(np.isfinite(x_new)):
             x, t = x_new, t - step
-            if np.linalg.norm(x) > opts.divergence_bound:
+            if np.linalg.norm(x) > DIVERGENCE_BOUND:
                 return TrackResult(x, DIVERGED, res, steps, t)
             run += 1
-            if run >= opts.growth_after:
-                dt = min(dt * 2.0, opts.max_step)
+            if run >= GROWTH_AFTER:
+                dt = min(dt * 2.0, MAX_STEP)
                 run = 0
         else:
             run = 0
             dt *= 0.5
-            if dt < opts.min_step:
-                if t <= opts.salvage_t:
+            if dt < MIN_STEP:
+                if t <= SALVAGE_T:
                     break  # close enough: let the endpoint polish have a go
                 res_here = float(np.linalg.norm(h.evaluate(x, t)))
                 return TrackResult(x, STEP_FAILURE, res_here, steps, t)
 
     # final polish at t=0
-    x, res, ok = _newton_correct(h, x, 0.0, opts.corrector_tol, opts.polish_iters)
+    x, res, ok = _newton_correct(h, x, 0.0, CORRECTOR_TOL, POLISH_ITERS)
     if not ok:
-        x, res = _gauss_newton_polish(h, x, opts)
-    if np.linalg.norm(x) > opts.divergence_bound or not np.all(np.isfinite(x)):
+        x, res = _gauss_newton_polish(h, x)
+    if np.linalg.norm(x) > DIVERGENCE_BOUND or not np.all(np.isfinite(x)):
         return TrackResult(x, DIVERGED, res, steps, 0.0)
-    if not ok or res > opts.corrector_tol * (1.0 + np.linalg.norm(x)):
+    if not ok or res > CORRECTOR_TOL * (1.0 + np.linalg.norm(x)):
         return TrackResult(x, SINGULAR_ENDPOINT, res, steps, 0.0)
     return TrackResult(x, SUCCESS, res, steps, 0.0)
 
 
-def _gauss_newton_polish(h, x, opts, iters=40):
+def _gauss_newton_polish(h, x, iters=40):
     """Least-squares fallback at t=0 for singular endpoints."""
     H = h.evaluate(x, 0.0)
     best, best_res = x, float(np.linalg.norm(H))
@@ -259,7 +258,7 @@ def total_degree_start(sys, seed=0):
     return start_sys, starts
 
 
-def solve_total_degree(sys, params=None, seed=0, opts=None):
+def solve_total_degree(sys, params=None, seed=0):
     """Solve a parameter-free square system ab initio by a total-degree homotopy.
 
     ``params`` (if given) is substituted for the parameter indeterminates
@@ -273,15 +272,13 @@ def solve_total_degree(sys, params=None, seed=0, opts=None):
     start_sys, starts = total_degree_start(sys, seed)
     gamma = complex(unit_complex(seeded_rng(seed, 2)))
     h = linear_homotopy(sys, start_sys, gamma)
-    opts = opts or TrackingOptions()
-    return [track_path(h, x, opts) for x in starts]
+    return [track_path(h, x) for x in starts]
 
 
-def parameter_homotopy(sys, p1, p0, starts, opts=None):
+def parameter_homotopy(sys, p1, p0, starts):
     """Track solutions of ``sys`` from parameters ``p1`` (t=1) to ``p0`` (t=0)."""
     h = Homotopy(sys, _square_check(sys), sys.indices(PARAMETER), p1, p0)
-    opts = opts or TrackingOptions()
-    return [track_path(h, np.asarray(x, dtype=complex), opts) for x in starts]
+    return [track_path(h, np.asarray(x, dtype=complex)) for x in starts]
 
 
 def newton_refine(sys, point, tol=1e-12, max_iter=20, params=None, unknowns=None):

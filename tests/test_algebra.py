@@ -106,7 +106,11 @@ def test_format_parse_round_trip_random_systems(seed):
     names = [f"x{i+1}" for i in range(arity)] + [f"p{i+1}" for i in range(n_par)]
     polys = [random_poly(rng, arity + n_par) for _ in range(int(rng.integers(1, 4)))]
     sys1 = PolySystem(polys, roles, names)
-    assert parse_system(format_system(sys1)) == sys1
+    parsed = parse_system(format_system(sys1))
+    assert parsed == sys1
+    # terms come back in stored order, so the compiled arrays are the same
+    for got, want in zip(parsed.polynomials, sys1.polynomials):
+        assert list(got.terms) == list(want.terms)
 
 
 def test_format_polynomial_is_parseable_with_complex_coefficients():

@@ -1,12 +1,20 @@
-"""Source hygiene: every name a nearex module imports is used in it."""
+"""Source hygiene: every name a nearex module imports is used in it, and
+every top-level name it defines is used somewhere in the repository."""
 
 import ast
+import io
 import pathlib
+import tokenize
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nearex"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nearex"
 MODULES = sorted(SRC.glob("*.py"))
+# where a use of a nearex name counts
+USERS = sorted(p for d in ("src", "tests", "scripts", "benchmark")
+               for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -33,3 +41,46 @@ def test_checker_sees_an_unused_import():
 def test_module_imports_only_what_it_uses(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def top_level_names(source):
+    """Names bound by top-level def, class and assignment statements."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {nm: line for nm, line in names.items() if not nm.startswith("__")}
+
+
+def identifier_counts(sources):
+    """How often each identifier occurs in code (not in strings or comments)."""
+    counts = Counter()
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                counts[tok.string] += 1
+    return counts
+
+
+def test_checker_sees_an_unused_top_level_name():
+    module = "LIMIT = 3\nSPARE = 4\ndef f(x):\n    return min(x, LIMIT)\ndef g():\n    pass\n"
+    user = "from m import f\nf(1)\n# g and SPARE in a comment are not a use\n"
+    counts = identifier_counts([module, user])
+    defined = top_level_names(module)
+    assert sorted(nm for nm in defined if counts[nm] < 2) == ["SPARE", "g"]
+
+
+def test_every_top_level_name_is_used():
+    counts = identifier_counts(p.read_text(encoding="utf-8") for p in USERS)
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in sorted(top_level_names(path.read_text(encoding="utf-8")).items())
+        if counts[name] < 2  # the definition itself is one occurrence
+    ]
+    assert not unused, ", ".join(unused)

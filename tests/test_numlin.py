@@ -75,6 +75,8 @@ def test_solve_square_rejects_bad_shapes():
         solve_square(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         solve_square(np.eye(2), np.ones(3))
+    with pytest.raises(ValueError):
+        solve_square([[1, 2], [2, 4]], 1)
 
 
 def test_numerical_rank_on_constructed_matrix():

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from nearex.algebra import format_system
 from nearex.problem import ProblemError, ProblemFile
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURE_DIR = ROOT / "fixtures"
 
 MINIMAL = {
     "system": "vars x; params p1, p2; poly x^2 + p1*x + p2;",
@@ -78,6 +81,16 @@ def test_shipped_fixtures_round_trip(path):
     assert again == prob
     # serialization is stable: the shipped file already is the canonical form
     assert prob.to_json() == path.read_text(encoding="utf-8")
+
+
+def test_derived_fixtures_match_their_derivation():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    for name, build in make_fixtures.DERIVED.items():
+        prob = ProblemFile.load(FIXTURE_DIR / f"{name}.json")
+        assert format_system(build()) == prob.source, name
 
 
 def test_run_dispatches_multiplicity_double_root():

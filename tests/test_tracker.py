@@ -5,7 +5,6 @@ from nearex.algebra import PARAMETER, VARIABLE, parse_system, seeded_rng
 from nearex.structure import cluster_points
 from nearex.tracker import (
     Homotopy,
-    TrackingOptions,
     _newton_correct,
     linear_homotopy,
     newton_refine,
