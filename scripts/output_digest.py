@@ -12,7 +12,9 @@ count.  The inputs are those of the benchmark's workloads
   sigma = 0.1, 150 samples each (study seed 0 and 1), run the way
   ``nearex study`` runs a sample;
 * ``fixtures``: the seven fast fixtures recovered at run seed 0 and 1:
-  status, p* bytes, validation dict and the stabilization tables.
+  status, p* bytes, validation dict and the stabilization tables, plus the
+  exit code and the bytes of ``report.json`` and ``points.csv`` that
+  ``nearex recover --seed <seed>`` writes for the same file.
 
 Floats are hashed by their bytes, never by a rounded rendering.  The script
 takes no options; it runs for a few minutes on two cores.
@@ -21,10 +23,13 @@ Usage:
     python3 scripts/output_digest.py
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
+from nearex.cli import main as nearex_main  # noqa: E402
 from nearex.fixtures import load  # noqa: E402
 from nearex.recover import sample_study  # noqa: E402
 from nearex.tracker import solve_total_degree  # noqa: E402
@@ -50,6 +56,9 @@ def feed(h, obj):
     """Hash ``obj`` into ``h``, tagged by type so that no two values collide."""
     if obj is None or isinstance(obj, (bool, str)):
         h.update(f"{type(obj).__name__}:{obj}|".encode())
+    elif isinstance(obj, bytes):
+        h.update(f"bytes{len(obj)}:".encode())
+        h.update(obj)
     elif isinstance(obj, (int, np.integer)):
         h.update(f"int:{int(obj)}|".encode())
     elif isinstance(obj, (float, complex, np.generic, np.ndarray)):
@@ -101,8 +110,19 @@ def fixture_outcomes(seed):
         stab = run.stabilization
         tables = None if stab is None else [list(stab.dims), list(stab.sizes)]
         res = run.result
-        out.append([nm, res.status, res.p_star, res.validation, tables])
+        out.append([nm, res.status, res.p_star, res.validation, tables,
+                    cli_recover(ROOT / "fixtures" / f"{nm}.json", seed)])
     return out
+
+
+def cli_recover(path, seed):
+    """Exit code and the bytes of every file ``nearex recover`` writes."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = nearex_main(["recover", str(path), "--seed", str(seed),
+                                "--out-dir", out_dir])
+        return [code] + [[f.name, f.read_bytes()] for f in sorted(Path(out_dir).iterdir())]
 
 
 WORKLOADS = [("detect6r", sixr_paths), ("study", study_rows),

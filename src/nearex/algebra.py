@@ -2,9 +2,9 @@
 
 Polynomials are stored as a map from exponent vectors to complex
 coefficients.  A ``PolySystem`` bundles an ordered list of polynomials with a
-role tag per indeterminate (variable / parameter / auxiliary / multiplier),
-which is what lets the rest of the package treat "the same" polynomials as a
-family over parameters, as unknowns in a fiber product, or as a homotopy.
+role tag per indeterminate (variable / parameter / auxiliary), which is what
+lets the rest of the package treat "the same" polynomials as a family over
+parameters, as unknowns in a fiber product, or as a homotopy.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 VARIABLE = "variable"
 PARAMETER = "parameter"
-AUXILIARY = "auxiliary"
-MULTIPLIER = "multiplier"
-ROLES = (VARIABLE, PARAMETER, AUXILIARY, MULTIPLIER)
+AUXILIARY = "auxiliary"  # an unknown beyond the variables, e.g. a Lagrange multiplier
+ROLES = (VARIABLE, PARAMETER, AUXILIARY)
 
 
 def seeded_rng(seed, *key):
@@ -429,14 +428,12 @@ class PolySystem:
 class HomogenizationScheme:
     """Partition of the variable indices into multihomogeneous groups.
 
-    ``hom_indices`` and ``patches`` are filled in by :func:`homogenize`, or may
-    be supplied for systems that are already homogeneous.
+    ``hom_names`` and ``hom_indices`` are filled in by :func:`homogenize`.
     """
 
     groups: list
     hom_names: list = None
     hom_indices: list = None
-    patches: list = None  # per group: affine patch coefficients, or None
 
 
 class ParseError(ValueError):
@@ -639,8 +636,7 @@ def homogenize(sys, scheme, seed=0):
 
     Each group gains a homogenizing variable; every polynomial becomes
     homogeneous of its group-degrees; an affine patch with unit-modulus random
-    coefficients (or the scheme's fixed patch) is appended per group.  Returns
-    ``(new_system, realized_scheme)``.
+    coefficients is appended per group.  Returns ``(new_system, realized_scheme)``.
     """
     var_idx = sys.indices(VARIABLE)
     flat = [i for g in scheme.groups for i in g]
@@ -650,11 +646,10 @@ def homogenize(sys, scheme, seed=0):
     g = len(scheme.groups)
     old_arity = sys.arity
     new_arity = old_arity + g
-    hom_names = list(scheme.hom_names or [f"h{k}" for k in range(g)])
+    hom_names = [f"h{k}" for k in range(g)]
     for nm in hom_names:
         if nm in sys.names:
             raise ValueError(f"homogenizing name {nm!r} already in use")
-    index_map = list(range(old_arity))
     hom_indices = [old_arity + k for k in range(g)]
 
     new_polys = []
@@ -669,20 +664,11 @@ def homogenize(sys, scheme, seed=0):
             out[tuple(ne)] = c
         new_polys.append(Polynomial(out, new_arity))
 
-    patches = []
     patch_polys = []
     for k, grp in enumerate(scheme.groups):
-        support = [hom_indices[k]] + [index_map[i] for i in grp]
-        if scheme.patches is not None and scheme.patches[k] is not None:
-            coeffs = np.asarray(scheme.patches[k], dtype=complex)
-            if coeffs.shape[0] != len(support):
-                raise ValueError("patch coefficient count mismatch")
-        else:
-            coeffs = unit_complex(rng, len(support))
-        if not np.any(coeffs):
-            raise ValueError("patch must have a nonzero coefficient")
+        support = [hom_indices[k]] + list(grp)
+        coeffs = unit_complex(rng, len(support))
         patch_polys.append(affine_row(np.append(coeffs, -1.0), support, new_arity))
-        patches.append(coeffs)
 
     out_sys = PolySystem(
         new_polys + patch_polys,
@@ -693,7 +679,6 @@ def homogenize(sys, scheme, seed=0):
         groups=[list(grp) for grp in scheme.groups],
         hom_names=hom_names,
         hom_indices=hom_indices,
-        patches=patches,
     )
     return out_sys, realized
 

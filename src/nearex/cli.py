@@ -146,8 +146,7 @@ def cmd_recover(args):
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_RECOVERY_FAILED
     _write(out_dir / "report.json", _json_dump(_run_report(prob, outcome)))
-    det_points = (outcome.detection or {}).get("points", [])
-    _write(out_dir / "points.csv", points_csv(det_points))
+    _write(out_dir / "points.csv", points_csv(outcome.points))
     if outcome.validated:
         print(f"recovered p* at distance {outcome.result.distance:.6g}")
         return EXIT_OK

@@ -71,6 +71,8 @@ parameterized_sliced_system = structure.parameterized_sliced_system
 
 VALIDATION_TIGHTENING = 100.0
 TIGHT_TOL = NEAR_SOLUTION_TOL / VALIDATION_TIGHTENING
+DEDUPE_RADIUS = 1e-8  # detection points closer than this are one point
+TRACE_TOL = 1e-2  # a subset trace below this share of the trace scale is near zero
 
 
 class StructureNotFoundError(RuntimeError):
@@ -82,8 +84,8 @@ class RunOutcome:
     structure: str
     result: RecoveryResult
     fiber: FiberProductSystem
-    stabilization: StabilizeResult = None
-    detection: dict = None
+    stabilization: StabilizeResult  # None when one condition was imposed unstabilized
+    points: list  # the classified detection points (ClassifiedPoint)
 
     def __post_init__(self):
         # status follows validation, so RecoveryResult.success means a
@@ -112,8 +114,8 @@ def _check_real(validation, p_hat, p_star):
     return validation
 
 
-def _dedupe(points, radius=1e-8):
-    ids = cluster_points(points, radius)
+def _dedupe(points):
+    ids = cluster_points(points, DEDUPE_RADIUS)
     out = []
     seen = set()
     for cp, cid in zip(points, ids):
@@ -143,28 +145,25 @@ def _infinity_counts(endpoints, positions, tol):
 
 def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_TOL,
                      rank_tol=None):
-    """Detect near-infinity solutions and push them onto infinity exactly."""
+    """Detect near-infinity solutions and push them onto infinity exactly.
+
+    ``groups`` lists the variable names of each homogenization group; the
+    default is one group of all variables.
+    """
     p_hat = np.asarray(p_hat, dtype=complex)
     param_names = [f.names[i] for i in f.indices(PARAMETER)]
-    var_idx = f.indices(VARIABLE)
     if groups is None:
-        groups = [list(var_idx)]
+        groups = [f.indices(VARIABLE)]
     else:
-        groups = [
-            [f.index_of(g) if isinstance(g, str) else int(g) for g in grp]
-            for grp in groups
-        ]
-    scheme = HomogenizationScheme(groups=groups)
-    hom, realized = homogenize(f, scheme, seed=seed)
+        groups = [[f.index_of(nm) for nm in grp] for grp in groups]
+    hom, realized = homogenize(f, HomogenizationScheme(groups=groups), seed=seed)
     homp = hom.substitute_params(p_hat)
     positions = [homp.index_of(nm) for nm in realized.hom_names]
 
     results = solve_total_degree(homp, seed=seed + 1)
     good = _converged(results)
-    points = classify_infinity(
-        [ClassifiedPoint(point=r.endpoint) for r in good],
-        realized, threshold=infinity_tol, positions=positions,
-    )
+    points = classify_infinity([ClassifiedPoint(point=r.endpoint) for r in good],
+                               positions, infinity_tol)
 
     # base-point screen: a point that stays at infinity for generic
     # parameters imposes no condition; track each suspect to a generic p
@@ -230,8 +229,7 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
         )
     return RunOutcome(
         structure="infinity", result=res, fiber=fiber, stabilization=stab,
-        detection={"points": points, "suspects": suspects,
-                   "homogenized": hom, "scheme": realized, "positions": positions},
+        points=points,
     )
 
 
@@ -290,8 +288,7 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
             s0 = seed + 97 * shift + 1013 * attempt
 
             def builder(i, cand, s):
-                return build_witness_condition(f, dim_D, chosen, seed=s,
-                                               detection=ws)
+                return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
             if n_trials is not None:
                 trials, plateau = range(n_trials), False
@@ -315,8 +312,7 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
                                                         degree_d, seed)
             out = RunOutcome(
                 structure="positive_dim", result=res, fiber=stab.fiber_product,
-                stabilization=stab,
-                detection={"points": ws.points, "chosen": chosen, "witness": ws},
+                stabilization=stab, points=ws.points,
             )
             if out.validated:
                 return out
@@ -347,7 +343,7 @@ def _validate_positive_dim(f, p_hat, res, dim_D, degree_d, seed):
 
 
 def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
-                   trace_tol=1e-2, rank_tol=None):
+                   rank_tol=None):
     """Impose a vanishing second-derivative trace over a witness subset."""
     p_hat = np.asarray(p_hat, dtype=complex)
     param_names = [f.names[i] for i in f.indices(PARAMETER)]
@@ -371,19 +367,17 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
             continue  # full-set trace always vanishes; imposes nothing
         if subset_size is not None and len(s) != subset_size:
             continue
-        if abs(val) < trace_tol * scale:
+        if abs(val) < TRACE_TOL * scale:
             best_subset = sorted(s)
             break
     if best_subset is None:
         raise StructureNotFoundError(
-            f"no witness subset has a trace below {trace_tol:g} of scale {scale:g}"
+            f"no witness subset has a trace below {TRACE_TOL:g} of scale {scale:g}"
         )
     subset_pts = [wpts[j] for j in best_subset]
 
     def builder(i, cand, s):
-        return build_trace_condition(
-            f, dim_D, subset_pts, seed=s, detection=ws, p_hat=p_hat
-        )
+        return build_trace_condition(f, dim_D, subset_pts, p_hat, seed=s, detection=ws)
 
     if n_trials is not None:
         trials, plateau = range(n_trials), False
@@ -397,18 +391,14 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
     G = build_lagrange(stab.fiber_product, patch_seed=seed)
     res = descend(G)
     if res.status == "recovered":
-        res.validation = _validate_factor(
-            f, p_hat, res, ws, wpts, best_subset, dim_D, seed, trace_tol
-        )
+        res.validation = _validate_factor(f, p_hat, res, ws, wpts, best_subset, dim_D, seed)
     return RunOutcome(
         structure="factor", result=res, fiber=stab.fiber_product,
-        stabilization=stab,
-        detection={"points": ws.points, "trace": td, "subset": best_subset,
-                   "witness": ws},
+        stabilization=stab, points=ws.points,
     )
 
 
-def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed, trace_tol):
+def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
     n = len(f.indices(VARIABLE, AUXILIARY))
@@ -421,7 +411,7 @@ def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed, trace_tol):
     td = trace_data(fstar, moved, move_index=n - dim_D, alpha_seed=seed)
     scale = max(np.linalg.norm(w) for w in td.second_derivs)
     value = abs(td.trace(subset))
-    tight = trace_tol / VALIDATION_TIGHTENING ** 2 * scale
+    tight = TRACE_TOL / VALIDATION_TIGHTENING ** 2 * scale
     return _check_real({
         "passed": value <= tight,
         "subset_trace": value,
@@ -454,9 +444,7 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
     last = None
     for cand in scored:
         def builder(i, c, s):
-            return build_hilbert_condition(
-                sliced_param, cand, prefix, seed=s, p_hat=p_hat
-            )
+            return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
 
         stab = stabilize(
             builder, range(n_trials), param_names, p_hat, seed=seed,
@@ -471,8 +459,7 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
             )
         out = RunOutcome(
             structure="multiplicity", result=res, fiber=stab.fiber_product,
-            stabilization=stab,
-            detection={"points": ws.points, "witness": ws},
+            stabilization=stab, points=ws.points,
         )
         if out.validated:
             return out

@@ -28,7 +28,7 @@ from .algebra import (
     unit_complex,
 )
 from .numlin import DEFAULT_RANK_TOL, lstsq, null_space, numerical_rank
-from .structure import ClassifiedPoint, trace_data
+from .structure import trace_data
 from .tracker import Homotopy, track_path
 
 INFINITY = "infinity"
@@ -46,10 +46,9 @@ class ConditionSystem:
     """One structural condition: polynomials over (own block, shared params)."""
 
     kind: str
-    system: PolySystem  # block indeterminates first, parameters last
+    system: PolySystem  # its block: the variable and auxiliary indeterminates
     constants: dict
-    start_block: np.ndarray
-    start_residual: float = None
+    start_block: np.ndarray  # over the block, in the system's order
 
     @property
     def block_size(self):
@@ -125,21 +124,6 @@ class FiberProductSystem:
         return np.asarray(point)[self.param_indices()]
 
 
-def _reorder_block_first(sys):
-    """Permute indeterminates so blocks (vars/aux) precede parameters."""
-    blk = sys.indices(VARIABLE, AUXILIARY)
-    par = sys.indices(PARAMETER)
-    order = blk + par
-    imap = [0] * sys.arity
-    for new, old in enumerate(order):
-        imap[old] = new
-    return PolySystem(
-        [p.remap(sys.arity, imap) for p in sys.polynomials],
-        [sys.roles[i] for i in order],
-        [sys.names[i] for i in order],
-    )
-
-
 def build_infinity_condition(hom, scheme, group, suspect):
     """Condition: the suspect solution lies on ``x_h = 0`` for its group.
 
@@ -147,24 +131,16 @@ def build_infinity_condition(hom, scheme, group, suspect):
     group's homogenizing coordinate as an equation.  No random constants and
     no auxiliary unknowns are introduced.
     """
-    if isinstance(suspect, ClassifiedPoint):
-        if not suspect.is_near_infinity(group):
-            raise ValueError(
-                f"suspect is not flagged near infinity for group {group}: {suspect.labels}"
-            )
-        start = suspect.point
-    else:
-        start = np.asarray(suspect, dtype=complex)
-    hi = scheme.hom_indices[group]
-    coord = Polynomial.variable(hi, hom.arity)
-    sys = _reorder_block_first(hom.with_polynomials(hom.polynomials + [coord]))
-    blk = hom.indices(VARIABLE, AUXILIARY)
+    if not suspect.is_near_infinity(group):
+        raise ValueError(
+            f"suspect is not flagged near infinity for group {group}: {suspect.labels}"
+        )
+    coord = Polynomial.variable(scheme.hom_indices[group], hom.arity)
     return ConditionSystem(
         kind=INFINITY,
-        system=sys,
+        system=hom.with_polynomials(hom.polynomials + [coord]),
         constants={"group": group},
-        start_block=np.asarray(start, dtype=complex),
-        start_residual=float(abs(start[blk.index(hi)])),
+        start_block=np.asarray(suspect.point, dtype=complex),
     )
 
 
@@ -209,7 +185,7 @@ def move_to_slice(detection, points, new_coeffs):
     return out
 
 
-def build_witness_condition(f, dim_D, points, seed=0, detection=None):
+def build_witness_condition(f, dim_D, points, detection, seed=0):
     """Condition: d points of a degree-d component on one shared generic slice.
 
     ``f`` is the original parameterized system; each of the d copies carries
@@ -224,9 +200,7 @@ def build_witness_condition(f, dim_D, points, seed=0, detection=None):
     n = len(var)
     rng = seeded_rng(seed, 11)
     coeffs = unit_complex(rng, (dim_D, n + 1))
-    pts = [p.point if isinstance(p, ClassifiedPoint) else np.asarray(p) for p in points]
-    if detection is not None:
-        pts = move_to_slice(detection, pts, coeffs)
+    pts = move_to_slice(detection, [p.point for p in points], coeffs)
     arity = d * n + len(par)
     roles, names = [], []
     for j in range(d):
@@ -252,7 +226,7 @@ def build_witness_condition(f, dim_D, points, seed=0, detection=None):
     )
 
 
-def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
+def build_trace_condition(f, dim_D, subset, p_hat, seed=0, detection=None):
     """Condition: the second-derivative trace over ``subset`` vanishes.
 
     r copies of {f, shared slice, first- and second-order bordered systems}
@@ -276,11 +250,7 @@ def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
     rng = seeded_rng(seed, 13)
     coeffs = unit_complex(rng, (dim_D, n + 1))
     alpha = unit_complex(rng, n)
-    pts = [p.point if isinstance(p, ClassifiedPoint) else np.asarray(p) for p in subset]
-    if detection is not None:
-        pts = move_to_slice(detection, pts, coeffs)
-    if p_hat is None:
-        raise ValueError("p_hat is required to initialize the bordered auxiliaries")
+    pts = subset if detection is None else move_to_slice(detection, subset, coeffs)
 
     # start auxiliaries: bordered solves on the fresh slice at p_hat
     fp = f.substitute_params(p_hat)
@@ -362,11 +332,10 @@ def build_trace_condition(f, dim_D, subset, seed=0, detection=None, p_hat=None):
         system=sys,
         constants={"slice": coeffs, "alpha": alpha},
         start_block=start,
-        start_residual=float(abs(td.full_trace())),
     )
 
 
-def build_hilbert_condition(f_sliced, point, hilbert_prefix, seed=0, p_hat=None):
+def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
     """Condition: a rank-deficient Jacobian of the sliced system (prefix (1,1)).
 
     For the local Hilbert function prefix (1, 1) the null-space condition
@@ -389,7 +358,7 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, seed=0, p_hat=None)
     # random unitary via QR of a complex Gaussian matrix
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     R1, _ = np.linalg.qr(Z)
-    x0 = point.point if isinstance(point, ClassifiedPoint) else np.asarray(point, dtype=complex)
+    x0 = point.point
 
     arity = n + (n - 1) + len(par)
     roles = [f_sliced.roles[i] for i in var] + [AUXILIARY] * (n - 1) + [PARAMETER] * len(par)
@@ -418,8 +387,6 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, seed=0, p_hat=None)
 
     # start λ from the closest-to-null vector of J·R1, rescaled so the last
     # coordinate of R1⁻¹·v is 1
-    if p_hat is None:
-        raise ValueError("p_hat is required to initialize the start block")
     full = np.empty(f_sliced.arity, dtype=complex)
     full[var] = x0[: n]
     full[par] = np.asarray(p_hat, dtype=complex)
@@ -475,7 +442,6 @@ class StabilizeResult:
     dims: list  # image dimension after each tried append
     sizes: list  # system size of each tried assembly
     accepted: list  # whether each candidate was kept
-    refined_point: np.ndarray = None
 
 
 def stabilize(builder, candidates, param_names, p_hat, tol=None,
@@ -484,54 +450,39 @@ def stabilize(builder, candidates, param_names, p_hat, tol=None,
 
     ``builder(index, candidate, seed)`` returns a fresh ConditionSystem
     (fresh random constants per call).  Candidates are tried in order and
-    the image dimension and size of each trial assembly are recorded.
+    the image dimension and size of each trial assembly are recorded; a
+    trial that strictly drops the dimension is accepted, and the last
+    accepted trial is the returned fiber product.
 
-    With ``cumulative`` (the mode for repeated copies of one condition) every
-    tried copy stays in the assembly while scanning, so the recorded sizes
-    grow by one component per row; the returned fiber product is the shortest
-    prefix achieving the stabilized dimension.  Without it (distinct suspect
-    points, each carrying its own condition) an append that does not strictly
-    drop the dimension is discarded as a dependent condition before moving
-    on.  With ``stop_on_plateau`` the scan ends at the first non-dropping
-    append; otherwise every candidate is tried.  A ``tol`` of None (or 0)
-    means ``DEFAULT_RANK_TOL``.
+    With ``cumulative`` (the mode for repeated copies of one condition) each
+    trial extends the previous trial, so every tried copy stays in the
+    assembly while scanning and the recorded sizes grow by one component per
+    row; the returned product is then the shortest prefix achieving the
+    stabilized dimension.  Without it (distinct suspect points, each
+    carrying its own condition) each trial extends the last accepted
+    product, so an append that does not drop the dimension is discarded as a
+    dependent condition.  With ``stop_on_plateau`` the scan ends at the first
+    non-dropping append; otherwise every candidate is tried.  A ``tol`` of
+    None (or 0) means ``DEFAULT_RANK_TOL``.
     """
     tol = tol or DEFAULT_RANK_TOL
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidates to impose")
-    current = None
-    current_dim = None
-    refined = None
+    best = best_dim = trial = None
     dims, sizes, accepted = [], [], []
-    chain = []
-    kept = 0
     for i, cand in enumerate(candidates):
         comp = builder(i, cand, seed + 1000 * (i + 1))
-        if cumulative:
-            chain.append(comp)
-            trial = FiberProductSystem(list(chain), param_names, p_hat)
-        else:
-            trial = (
-                FiberProductSystem([comp], param_names, p_hat)
-                if current is None
-                else current.with_component(comp)
-            )
-        dim, pt = image_dimension(trial, tol=tol)
+        base = trial if cumulative else best
+        trial = (FiberProductSystem([comp], param_names, p_hat) if base is None
+                 else base.with_component(comp))
+        dim, _ = image_dimension(trial, tol=tol)
         dims.append(dim)
         sizes.append(trial.system_size())
-        dropped = current_dim is None or dim < current_dim
+        dropped = best_dim is None or dim < best_dim
         accepted.append(dropped)
         if dropped:
-            current_dim, refined = dim, pt
-            if cumulative:
-                kept = len(chain)
-            else:
-                current = trial
+            best, best_dim = trial, dim
         elif stop_on_plateau:
             break
-    if cumulative:
-        current = FiberProductSystem(chain[:kept], param_names, p_hat)
-    if current is None or not current.components:
-        raise RuntimeError("no candidate dropped the image dimension")
-    return StabilizeResult(current, dims, sizes, accepted, refined)
+    return StabilizeResult(best, dims, sizes, accepted)

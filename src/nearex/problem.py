@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .algebra import parse_system
+from .algebra import PolySystem, parse_system
 from .structure import INFINITY_NEAR_TOL
 
 KINDS = ("infinity", "positive_dim", "factor", "multiplicity")
@@ -65,6 +65,7 @@ class ProblemFile:
     p_tilde: np.ndarray = None
     options: dict = field(default_factory=dict)
     name: str = ""
+    _system: PolySystem = field(default=None, init=False, repr=False)  # set by build_system
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
@@ -141,6 +142,10 @@ class ProblemFile:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def build_system(self):
+        """The parsed system, checked against ``p_hat`` and the groups.  The
+        source is parsed on the first call only."""
+        if self._system is not None:
+            return self._system
         system = parse_system(self.source)
         n_par = len(system.indices("parameter"))
         if len(self.p_hat) != n_par:
@@ -151,6 +156,7 @@ class ProblemFile:
             for nm in g:
                 if nm not in system.names:
                     raise ProblemError(f"unknown variable {nm!r} in groups")
+        self._system = system
         return system
 
     def options_with(self, overrides=None):
@@ -174,11 +180,8 @@ class ProblemFile:
         st = self.structure
         kind = st["kind"]
         if kind == "infinity":
-            groups = st.get("groups")
-            if groups:
-                groups = [[system.index_of(nm) for nm in g] for g in groups]
             return engine.recover_infinity(
-                system, self.p_hat, groups=groups,
+                system, self.p_hat, groups=st.get("groups"),
                 infinity_tol=float(opts.get("tol_infinity", INFINITY_NEAR_TOL)),
                 **kw,
             )

@@ -24,9 +24,7 @@ import numpy as np
 
 from .algebra import (
     AUXILIARY,
-    MULTIPLIER,
     PARAMETER,
-    VARIABLE,
     Polynomial,
     PolySystem,
     affine_row,
@@ -56,7 +54,6 @@ class LagrangeSystem:
     primal_indices: list  # blocks then parameters, within 𝒢
     param_indices: list
     lambda_indices: list
-    patch: np.ndarray
 
     def start_point(self):
         start = np.zeros(self.system.arity, dtype=complex)
@@ -81,7 +78,7 @@ def build_lagrange(F, patch_seed=0):
     M = len(base.polynomials)
     n_primal = base.arity
     arity = n_primal + M + 1
-    roles = list(base.roles) + [MULTIPLIER] * (M + 1)
+    roles = list(base.roles) + [AUXILIARY] * (M + 1)
     names = list(base.names) + [f"mult{j}" for j in range(M + 1)]
     imap = list(range(n_primal))
     polys = [p.remap(arity, imap) for p in base.polynomials]
@@ -109,21 +106,17 @@ def build_lagrange(F, patch_seed=0):
     patch[1:] = PATCH_EPSILON * unit_complex(rng, M)
     polys.append(affine_row(np.append(patch, -1.0), range(n_primal, arity), arity))
 
-    G = PolySystem(polys, roles, names)
-    unknowns = G.indices(VARIABLE, AUXILIARY, PARAMETER, MULTIPLIER)
-    if len(polys) != len(unknowns):
+    if len(polys) != arity:
         raise AssertionError(
-            f"Lagrange system is not square: {len(polys)} equations, "
-            f"{len(unknowns)} unknowns"
+            f"Lagrange system is not square: {len(polys)} equations, {arity} unknowns"
         )
     return LagrangeSystem(
-        system=G,
+        system=PolySystem(polys, roles, names),
         fiber=F,
         p_hat=p_hat,
         primal_indices=list(range(n_primal)),
         param_indices=par,
         lambda_indices=list(range(n_primal, n_primal + M + 1)),
-        patch=patch,
     )
 
 

@@ -30,6 +30,7 @@ from .tracker import solve_total_degree
 NEAR_SOLUTION_TOL = 1e-4
 NONSOLUTION_TOL = 1e-1
 INFINITY_NEAR_TOL = 1e-2
+HILBERT_RANK_TOL = 1e-8  # Macaulay singular values below this share of the scale are zero
 SUBSET_CAP = 4  # above 8 witness points, trace subsets of at most this size (and all)
 
 NONSOLUTION = "nonsolution"
@@ -49,8 +50,6 @@ class ClassifiedPoint:
     homogenizing_magnitudes: list = field(default_factory=list)
     cluster_id: int = None
     labels: set = field(default_factory=set)
-    thresholds: dict = field(default_factory=dict)
-    track_status: str = None
 
     def is_near_infinity(self, group=None):
         if group is not None:
@@ -66,9 +65,6 @@ class WitnessSupersetResult:
     sliced_system: PolySystem  # randomized f rows followed by slice rows
     parameterized: PolySystem  # the same rows with the parameters left symbolic
     slice_rows: int
-    randomized_rows: int
-    original: PolySystem  # f at the queried parameters
-    seed: int
 
 
 def solution_residual(f, x):
@@ -77,11 +73,11 @@ def solution_residual(f, x):
     return float(np.linalg.norm(f.evaluate(x))) / (1.0 + np.linalg.norm(x) ** deg)
 
 
-def classify_residual(f, x, near_tol=NEAR_SOLUTION_TOL, far_tol=NONSOLUTION_TOL):
+def classify_residual(f, x):
     res = solution_residual(f, x)
-    if res < near_tol:
+    if res < NEAR_SOLUTION_TOL:
         label = NEAR_SOLUTION
-    elif res > far_tol:
+    elif res > NONSOLUTION_TOL:
         label = NONSOLUTION
     else:
         label = AMBIGUOUS
@@ -120,11 +116,10 @@ def witness_superset(f, p, dim_D, seed=0):
     results = solve_total_degree(sliced, seed=seed + 2)
     points = []
     for r in results:
-        cp = ClassifiedPoint(point=r.endpoint, track_status=r.status)
+        cp = ClassifiedPoint(point=r.endpoint)
         if r.success:
             cp.residual_full_system, label = classify_residual(fp, r.endpoint)
             cp.labels.add(label)
-            cp.thresholds = {"near": NEAR_SOLUTION_TOL, "far": NONSOLUTION_TOL}
         else:
             cp.labels.add("track-" + r.status)
         points.append(cp)
@@ -133,24 +128,18 @@ def witness_superset(f, p, dim_D, seed=0):
         sliced_system=sliced,
         parameterized=parameterized,
         slice_rows=dim_D,
-        randomized_rows=n - dim_D,
-        original=fp,
-        seed=seed,
     )
 
 
-def classify_infinity(points, scheme, threshold=INFINITY_NEAR_TOL, positions=None):
+def classify_infinity(points, positions, threshold):
     """Label points whose homogenizing coordinates are small relative to ‖x‖.
 
     ``positions`` gives the index of each group's homogenizing coordinate
-    within the point vectors; it defaults to ``scheme.hom_indices`` (valid
-    when the points live over the full homogenized indeterminate list).
+    within the point vectors.  Labels each :class:`ClassifiedPoint` in place
+    and returns the list.
     """
-    positions = list(positions) if positions is not None else list(scheme.hom_indices)
-    out = []
-    for item in points:
-        x = item.point if isinstance(item, ClassifiedPoint) else np.asarray(item, dtype=complex)
-        cp = item if isinstance(item, ClassifiedPoint) else ClassifiedPoint(point=x)
+    for cp in points:
+        x = cp.point
         norm = max(np.linalg.norm(x), 1e-300)
         mags = []
         for g, hi in enumerate(positions):
@@ -161,9 +150,7 @@ def classify_infinity(points, scheme, threshold=INFINITY_NEAR_TOL, positions=Non
             else:
                 cp.labels.add(FINITE)
         cp.homogenizing_magnitudes = mags
-        cp.thresholds = dict(cp.thresholds, infinity=threshold)
-        out.append(cp)
-    return out
+    return points
 
 
 def cluster_points(points, radius):
@@ -199,9 +186,7 @@ class TraceData:
     points: list  # w_j
     first_derivs: list  # dw_j/ds as the moving form translates
     second_derivs: list  # d^2 w_j/ds^2
-    alpha: np.ndarray
     subset_traces: dict  # frozenset of indices -> complex trace value
-    move_index: int
 
     def trace(self, subset):
         return self.subset_traces[frozenset(subset)]
@@ -275,7 +260,7 @@ def trace_data(f_sliced, witness, move_index, alpha_seed=0):
         index_subsets.append(tuple(range(r)))
     for s in index_subsets:
         traces[frozenset(s)] = complex(alpha @ sum(wddots[j] for j in s))
-    return TraceData(pts, wdots, wddots, alpha, traces, move_index)
+    return TraceData(pts, wdots, wddots, traces)
 
 
 # -- Macaulay matrices and the local Hilbert function -----------------------
@@ -356,22 +341,18 @@ def macaulay_matrix(f, x_star, d):
 
 @dataclass
 class MacaulayProfile:
-    matrices: list
-    null_dims: list
     hilbert: list
-    stabilized: bool
-    multiplicity: int = None
+    multiplicity: int = None  # Σh once h has reached 0 within d_max, else None
 
 
-def local_hilbert(f, x_star, d_max=8, tol=1e-8):
+def local_hilbert(f, x_star, d_max=8):
     """Local Hilbert function h(d) = nulldim M_d − nulldim M_{d−1}.
 
     Stops as soon as h hits 0 (stabilized); multiplicity is Σh then.
     """
     x_star = np.asarray(x_star, dtype=complex)
-    mats, nulls, h = [], [], []
+    h = []
     prev = 0
-    stabilized = False
     # absolute scale: near a solution M_0 = f(x*) is a near-zero vector, so a
     # threshold relative to the matrix's own norm would call it full rank
     deg = max(p.degree() for p in f.polynomials)
@@ -379,18 +360,14 @@ def local_hilbert(f, x_star, d_max=8, tol=1e-8):
     for d in range(d_max + 1):
         M = macaulay_matrix(f, x_star, d)
         s = singular_values(M)
-        cutoff = tol * max(s[0] if s.size else 0.0, scale)
+        cutoff = HILBERT_RANK_TOL * max(s[0] if s.size else 0.0, scale)
         nd = M.shape[1] - int(np.count_nonzero(s > cutoff))
-        mats.append(M)
-        nulls.append(nd)
         h.append(nd - prev)
         prev = nd
         if d == 0 and h[0] != 1:
             raise ValueError(
-                f"h(0) = {h[0]}: point is not on the set at tolerance {tol:g}"
+                f"h(0) = {h[0]}: point is not on the set at tolerance {HILBERT_RANK_TOL:g}"
             )
         if h[-1] <= 0:
-            stabilized = True
-            break
-    mult = sum(h) if stabilized else None
-    return MacaulayProfile(mats, nulls, h, stabilized, mult)
+            return MacaulayProfile(h, sum(h))
+    return MacaulayProfile(h)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import (
     AUXILIARY,
-    MULTIPLIER,
     PARAMETER,
     VARIABLE,
     Polynomial,
@@ -43,6 +42,7 @@ SALVAGE_T = 1e-3  # below this t, step failure defers to the endpoint polish
 CORRECTOR_TOL = 1e-10
 CORRECTOR_STEPS = 3
 POLISH_ITERS = 10
+LSTSQ_POLISH_ITERS = 40  # Gauss-Newton fallback when the Newton polish fails
 START_TOL = 1e-8
 DIVERGENCE_BOUND = 1e12
 
@@ -81,6 +81,10 @@ class Homotopy:
     def evaluate(self, x, t):
         return self.system.evaluate(self._full(x, t))
 
+    def jacobian_x(self, x, t):
+        """J_x at (x, t)."""
+        return self.system.compiled.jacobian(self._full(x, t))[:, self.unknowns]
+
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
         J = self.system.compiled.jacobian(self._full(x, t))
@@ -109,7 +113,7 @@ def _newton_correct(h, x, t, tol, max_steps):
     H = h.evaluate(x, t)
     res = float(np.linalg.norm(H))
     for _ in range(max_steps):
-        Jx, _ = h.jacobians(x, t)
+        Jx = h.jacobian_x(x, t)
         try:
             dx = solve_square(Jx, -H)
         except SingularMatrixError:
@@ -188,13 +192,12 @@ def track_path(h, start):
     return TrackResult(x, SUCCESS, res, steps, 0.0)
 
 
-def _gauss_newton_polish(h, x, iters=40):
+def _gauss_newton_polish(h, x):
     """Least-squares fallback at t=0 for singular endpoints."""
     H = h.evaluate(x, 0.0)
     best, best_res = x, float(np.linalg.norm(H))
-    for _ in range(iters):
-        Jx, _ = h.jacobians(x, 0.0)
-        x = x + lstsq(Jx, -H)
+    for _ in range(LSTSQ_POLISH_ITERS):
+        x = x + lstsq(h.jacobian_x(x, 0.0), -H)
         H = h.evaluate(x, 0.0)
         res = float(np.linalg.norm(H))
         if not np.isfinite(res):
@@ -207,7 +210,7 @@ def _gauss_newton_polish(h, x, iters=40):
 
 
 def _square_check(sys):
-    unk = sys.indices(VARIABLE, AUXILIARY, MULTIPLIER)
+    unk = sys.indices(VARIABLE, AUXILIARY)
     if len(sys.polynomials) != len(unk):
         raise ValueError(
             f"system is not square: {len(sys.polynomials)} equations, {len(unk)} unknowns"
@@ -281,14 +284,12 @@ def parameter_homotopy(sys, p1, p0, starts):
     return [track_path(h, np.asarray(x, dtype=complex)) for x in starts]
 
 
-def newton_refine(sys, point, tol=1e-12, max_iter=20, params=None, unknowns=None):
+def newton_refine(sys, point, tol=1e-12, max_iter=20, unknowns=None):
     """Newton's method on a square system; returns (point, converged).
 
     When ``unknowns`` is omitted, every indeterminate is treated as unknown
     (parameters must be substituted or listed explicitly).
     """
-    if params is not None:
-        sys = sys.substitute_params(params)
     if unknowns is None:
         unk = _square_check(sys)
         if len(unk) != sys.arity:

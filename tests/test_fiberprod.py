@@ -103,20 +103,28 @@ def test_image_dimension_is_monotone_under_appends():
 # -- stabilization -----------------------------------------------------------
 
 
-def test_stabilize_cumulative_records_growing_sizes():
+@pytest.mark.parametrize("cumulative", [True, False], ids=["cumulative", "non-cumulative"])
+def test_stabilize_cumulative_records_growing_sizes(cumulative):
     f, p_hat, ws, cands = posdim_detection()
 
     def builder(i, cand, seed):
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
     stab = stabilize(builder, range(3), ["p1", "p2"], p_hat,
-                     stop_on_plateau=False, cumulative=True)
+                     stop_on_plateau=False, cumulative=cumulative)
     assert len(stab.dims) == 3
-    assert all(b > a for a, b in zip(stab.sizes, stab.sizes[1:]))
     # dimension stabilizes at 1 (the exceptional line) and the product keeps
     # only the shortest prefix achieving it
     assert stab.dims[-1] == stab.dims[-2]
-    assert len(stab.fiber_product.components) <= 2
+    if cumulative:
+        # every tried copy stays in the assembly while scanning
+        assert stab.sizes == [7, 12, 17]
+        assert len(stab.fiber_product.components) <= 2
+    else:
+        # a copy that does not drop the dimension is discarded before the next
+        assert stab.sizes == [7, 12, 12]
+        assert stab.accepted == [True, False, False]
+        assert len(stab.fiber_product.components) == 1
 
 
 def test_stabilize_plateau_stops_early():

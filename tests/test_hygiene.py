@@ -1,9 +1,11 @@
 """Source hygiene: every name a nearex module imports is used in it, and
-every top-level name it defines is used somewhere in the repository."""
+every top-level name and class member it defines is used somewhere in the
+repository."""
 
 import ast
 import io
 import pathlib
+import re
 import tokenize
 from collections import Counter
 
@@ -84,3 +86,70 @@ def test_every_top_level_name_is_used():
         if counts[name] < 2  # the definition itself is one occurrence
     ]
     assert not unused, ", ".join(unused)
+
+
+def class_members(source):
+    """(class, member, line) for every field, method and property a top-level
+    class defines in its body, dunder names excepted."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.AnnAssign):
+                names = [item.target.id] if isinstance(item.target, ast.Name) else []
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [(node.name, nm, item.lineno) for nm in names
+                    if not (nm.startswith("__") and nm.endswith("__"))]
+    return out
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def attributes_read(source):
+    """Attribute names ``source`` reads (``x.name`` in load context), plus
+    every name after a dot in a dotted string such as ``"Cls.method"``."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for dotted in DOTTED.findall(node.value):
+                read.update(dotted.split(".")[1:])
+    return read
+
+
+def test_checker_sees_an_unread_class_member():
+    module = (
+        "class A:\n"
+        "    kept: int\n"
+        "    spare: int = 0\n"
+        "    def used(self):\n"
+        "        return self.kept\n"
+        "    def wrapped(self):\n"
+        "        pass\n"
+        "    def idle(self):\n"
+        "        self.spare = 1\n"
+        "    def __repr__(self):\n"
+        "        return 'A'\n"
+    )
+    user = "a = A(spare=2)\na.used()\nTARGETS = ['A.wrapped']\n# a.idle()\n"
+    read = attributes_read(module) | attributes_read(user)
+    assert [nm for _, nm, _ in class_members(module) if nm not in read] == ["spare", "idle"]
+
+
+def test_every_class_member_is_read():
+    read = set().union(*(attributes_read(p.read_text(encoding="utf-8")) for p in USERS))
+    unread = [
+        f"{path.name}:{line} {cls}.{name}"
+        for path in MODULES
+        for cls, name, line in class_members(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert not unread, ", ".join(unread)

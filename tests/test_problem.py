@@ -99,3 +99,19 @@ def test_run_dispatches_multiplicity_double_root():
     assert outcome.validated
     assert outcome.result.p_star[0] == pytest.approx(2.828427116497461, abs=1e-6)
     assert outcome.result.p_star[1] == pytest.approx(1.999999988334534, abs=1e-6)
+
+
+def test_load_and_run_parse_the_source_once(monkeypatch):
+    import nearex.problem
+
+    calls = []
+    parse = nearex.problem.parse_system
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(nearex.problem, "parse_system", counted)
+    outcome = ProblemFile.load(FIXTURE_DIR / "double_root.json").run(seed=0)
+    assert outcome.validated
+    assert len(calls) == 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nearex.algebra import MULTIPLIER, PARAMETER, parse_system, seeded_rng
+from nearex.algebra import PARAMETER, parse_system, seeded_rng
 from nearex.fiberprod import FiberProductSystem, build_witness_condition
 from nearex.fixtures import (
     DOUBLE_ROOT_ONE_PARAM,

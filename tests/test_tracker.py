@@ -182,7 +182,7 @@ def test_newton_corrector_evaluates_h_once_per_iterate():
     sys = parse_system("vars x, y; params p; poly x^2 + y^2 - p; poly x - y^3;")
     h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [2.0], [1.0])
     evaluate = h.evaluate
-    calls = {"evaluate": 0, "jacobians": 0}
+    calls = {"evaluate": 0, "jacobian_x": 0}
 
     def counted(name, method):
         def wrapper(*args):
@@ -191,11 +191,11 @@ def test_newton_corrector_evaluates_h_once_per_iterate():
         return wrapper
 
     h.evaluate = counted("evaluate", h.evaluate)
-    h.jacobians = counted("jacobians", h.jacobians)
+    h.jacobian_x = counted("jacobian_x", h.jacobian_x)
     for max_steps in (1, 3, 30):
-        calls.update(evaluate=0, jacobians=0)
+        calls.update(evaluate=0, jacobian_x=0)
         x, res, ok = _newton_correct(h, np.array([0.9 + 0.1j, 0.8]), 0.5, 1e-12, max_steps)
-        iterates = calls["jacobians"]  # one Jacobian per Newton step
+        iterates = calls["jacobian_x"]  # one Jacobian per Newton step
         assert 1 <= iterates <= max_steps
         assert calls["evaluate"] == iterates + 1
         assert res == float(np.linalg.norm(evaluate(x, 0.5)))
