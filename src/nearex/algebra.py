@@ -10,8 +10,6 @@ parameters, as unknowns in a fiber product, or as a homotopy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 import numpy as np
 
 VARIABLE = "variable"
@@ -88,11 +86,6 @@ class Polynomial:
             return max(sum(e) for e in self.terms)
         idx = list(indices)
         return max(sum(e[i] for i in idx) for e in self.terms)
-
-    def coefficient_norm(self):
-        if not self.terms:
-            return 0.0
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
 
     def __eq__(self, other):
         return (
@@ -424,18 +417,6 @@ class PolySystem:
         )
 
 
-@dataclass
-class HomogenizationScheme:
-    """Partition of the variable indices into multihomogeneous groups.
-
-    ``hom_names`` and ``hom_indices`` are filled in by :func:`homogenize`.
-    """
-
-    groups: list
-    hom_names: list = None
-    hom_indices: list = None
-
-
 class ParseError(ValueError):
     def __init__(self, message, line, col):
         super().__init__(f"line {line}, column {col}: {message}")
@@ -631,19 +612,21 @@ def format_system(sys):
     return "\n".join(lines) + "\n"
 
 
-def homogenize(sys, scheme, seed=0):
+def homogenize(sys, groups, seed=0):
     """(Multi)homogenize the variable blocks and add one generic patch per group.
 
-    Each group gains a homogenizing variable; every polynomial becomes
-    homogeneous of its group-degrees; an affine patch with unit-modulus random
-    coefficients is appended per group.  Returns ``(new_system, realized_scheme)``.
+    ``groups`` partitions the variable indices.  Each group gains a
+    homogenizing variable; every polynomial becomes homogeneous of its
+    group-degrees; an affine patch with unit-modulus random coefficients is
+    appended per group.  Returns ``(new_system, hom_indices)``, the index of
+    each group's homogenizing variable.
     """
     var_idx = sys.indices(VARIABLE)
-    flat = [i for g in scheme.groups for i in g]
+    flat = [i for g in groups for i in g]
     if sorted(flat) != sorted(var_idx) or len(flat) != len(set(flat)):
-        raise ValueError("scheme groups must partition the variable indices")
+        raise ValueError("groups must partition the variable indices")
     rng = seeded_rng(seed)
-    g = len(scheme.groups)
+    g = len(groups)
     old_arity = sys.arity
     new_arity = old_arity + g
     hom_names = [f"h{k}" for k in range(g)]
@@ -656,16 +639,16 @@ def homogenize(sys, scheme, seed=0):
     for p in sys.polynomials:
         out = {}
         gdegs = [max((sum(e[i] for i in grp) for e in p.terms), default=0)
-                 for grp in scheme.groups]
+                 for grp in groups]
         for e, c in p.terms.items():
             ne = list(e) + [0] * g
-            for k, grp in enumerate(scheme.groups):
+            for k, grp in enumerate(groups):
                 ne[hom_indices[k]] = gdegs[k] - sum(e[i] for i in grp)
             out[tuple(ne)] = c
         new_polys.append(Polynomial(out, new_arity))
 
     patch_polys = []
-    for k, grp in enumerate(scheme.groups):
+    for k, grp in enumerate(groups):
         support = [hom_indices[k]] + list(grp)
         coeffs = unit_complex(rng, len(support))
         patch_polys.append(affine_row(np.append(coeffs, -1.0), support, new_arity))
@@ -675,12 +658,7 @@ def homogenize(sys, scheme, seed=0):
         sys.roles + [VARIABLE] * g,
         sys.names + hom_names,
     )
-    realized = HomogenizationScheme(
-        groups=[list(grp) for grp in scheme.groups],
-        hom_names=hom_names,
-        hom_indices=hom_indices,
-    )
-    return out_sys, realized
+    return out_sys, hom_indices
 
 
 def randomize(sys, target_count, seed=0):
@@ -709,36 +687,3 @@ def affine_row(coeffs, indices, arity):
         terms.append((e, c))
     terms.append(((0,) * arity, coeffs[-1]))
     return Polynomial(terms, arity)
-
-
-def generic_slice(n_vars, codim, seed=0):
-    """``codim`` generic affine-linear polynomials in ``n_vars`` indeterminates."""
-    if not 0 < codim <= n_vars:
-        raise ValueError(f"codim must be in 1..{n_vars}, got {codim}")
-    coeffs = unit_complex(seeded_rng(seed), (codim, n_vars + 1))
-    polys = [affine_row(row, range(n_vars), n_vars) for row in coeffs]
-    names = [f"s{i}" for i in range(n_vars)]
-    return PolySystem(polys, [VARIABLE] * n_vars, names)
-
-
-def slice_coefficient_rows(slice_sys):
-    """Extract the (codim, n+1) affine coefficient rows of a linear system."""
-    n = slice_sys.arity
-    rows = np.zeros((len(slice_sys.polynomials), n + 1), dtype=complex)
-    for r, p in enumerate(slice_sys.polynomials):
-        for e, c in p.terms.items():
-            if sum(e) == 0:
-                rows[r, n] = c
-            elif sum(e) == 1:
-                rows[r, e.index(1)] = c
-            else:
-                raise ValueError("system is not affine-linear")
-    return rows
-
-
-def concat_systems(parts, roles, names):
-    """Stack the polynomials of several systems sharing one indeterminate list."""
-    polys = []
-    for part in parts:
-        polys.extend(part.polynomials)
-    return PolySystem(polys, roles, names)

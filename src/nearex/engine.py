@@ -28,12 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import structure
 from .algebra import (
     AUXILIARY,
     PARAMETER,
     VARIABLE,
-    HomogenizationScheme,
     homogenize,
     seeded_rng,
     unit_complex,
@@ -63,11 +61,6 @@ from .structure import (
     witness_superset,
 )
 from .tracker import SINGULAR_ENDPOINT, parameter_homotopy, solve_total_degree
-
-# The pipelines take the detection system with symbolic parameters from
-# ``WitnessSupersetResult.parameterized``; callers that build a condition by
-# hand import the function from here.
-parameterized_sliced_system = structure.parameterized_sliced_system
 
 VALIDATION_TIGHTENING = 100.0
 TIGHT_TOL = NEAR_SOLUTION_TOL / VALIDATION_TIGHTENING
@@ -156,9 +149,9 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
         groups = [f.indices(VARIABLE)]
     else:
         groups = [[f.index_of(nm) for nm in grp] for grp in groups]
-    hom, realized = homogenize(f, HomogenizationScheme(groups=groups), seed=seed)
+    hom, hom_indices = homogenize(f, groups, seed=seed)
     homp = hom.substitute_params(p_hat)
-    positions = [homp.index_of(nm) for nm in realized.hom_names]
+    positions = [homp.index_of(hom.names[i]) for i in hom_indices]
 
     results = solve_total_degree(homp, seed=seed + 1)
     good = _converged(results)
@@ -198,7 +191,7 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
 
     def builder(i, cand, s):
         g, cp = cand
-        return build_infinity_condition(hom, realized, g, cp)
+        return build_infinity_condition(hom, hom_indices, g, cp)
 
     candidates = sorted(
         zip(groups_of, suspects),
@@ -240,7 +233,7 @@ def _validate_infinity(hom, fiber, res, positions, counts_hat, seed, tight_tol):
     counts_star = _infinity_counts(endpoints, positions, tight_tol)
     imposed = [0] * len(positions)
     for comp in fiber.components:
-        imposed[comp.constants["group"]] += 1
+        imposed[comp.group] += 1
     passed = all(
         cs >= ch + im for cs, ch, im in zip(counts_star, counts_hat, imposed)
     )

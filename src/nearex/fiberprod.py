@@ -24,7 +24,6 @@ from .algebra import (
     PolySystem,
     affine_row,
     seeded_rng,
-    slice_coefficient_rows,
     unit_complex,
 )
 from .numlin import DEFAULT_RANK_TOL, lstsq, null_space, numerical_rank
@@ -41,14 +40,42 @@ REFINE_TOL = 1e-9  # relative to 1 + the coefficient norm
 MAX_REFINE = 60
 
 
+def stack(systems, param_names):
+    """Lay copies of systems side by side over one shared parameter block.
+
+    Each system's variable and auxiliary indeterminates form one block, in
+    their own order and named ``<name>_<k>``; the parameters, named
+    ``param_names``, come last.  Returns the stacked system and each block's
+    ``(start, stop)``.
+    """
+    n_block = sum(len(s.indices(VARIABLE, AUXILIARY)) for s in systems)
+    arity = n_block + len(param_names)
+    roles, names, polys, blocks = [], [], [], []
+    for k, sys in enumerate(systems):
+        blk = sys.indices(VARIABLE, AUXILIARY)
+        start = len(roles)
+        imap = [0] * sys.arity
+        for j, i in enumerate(blk):
+            imap[i] = start + j
+        for j, i in enumerate(sys.indices(PARAMETER)):
+            imap[i] = n_block + j
+        roles += [sys.roles[i] for i in blk]
+        names += [f"{sys.names[i]}_{k}" for i in blk]
+        blocks.append((start, len(roles)))
+        polys.extend(p.remap(arity, imap) for p in sys.polynomials)
+    roles += [PARAMETER] * len(param_names)
+    names += list(param_names)
+    return PolySystem(polys, roles, names), blocks
+
+
 @dataclass
 class ConditionSystem:
     """One structural condition: polynomials over (own block, shared params)."""
 
     kind: str
     system: PolySystem  # its block: the variable and auxiliary indeterminates
-    constants: dict
     start_block: np.ndarray  # over the block, in the system's order
+    group: int = None  # the homogenization group of an infinity condition
 
     @property
     def block_size(self):
@@ -66,36 +93,10 @@ class FiberProductSystem:
         self.components = list(components)
         self.param_names = list(param_names)
         self.p_hat = np.asarray(p_hat, dtype=complex)
-        self._assemble()
-
-    def _assemble(self):
-        n_par = len(self.param_names)
-        n_block = sum(c.block_size for c in self.components)
-        roles, names = [], []
-        self.block_slices = []
-        offset = 0
-        for k, comp in enumerate(self.components):
-            blk = comp.system.indices(VARIABLE, AUXILIARY)
-            for i in blk:
-                roles.append(comp.system.roles[i])
-                names.append(f"{comp.system.names[i]}_{k}")
-            self.block_slices.append((offset, offset + len(blk)))
-            offset += len(blk)
-        roles += [PARAMETER] * n_par
-        names += self.param_names
-        polys = []
-        for k, comp in enumerate(self.components):
-            blk = comp.system.indices(VARIABLE, AUXILIARY)
-            par = comp.system.indices(PARAMETER)
-            start, _ = self.block_slices[k]
-            imap = [0] * comp.system.arity
-            for j, i in enumerate(blk):
-                imap[i] = start + j
-            for j, i in enumerate(par):
-                imap[i] = n_block + j
-            polys.extend(p.remap(len(roles), imap) for p in comp.system.polynomials)
-        self.full_system = PolySystem(polys, roles, names)
-        self.n_block_unknowns = n_block
+        self.full_system, self.block_slices = stack(
+            [c.system for c in self.components], self.param_names
+        )
+        self.n_block_unknowns = self.block_slices[-1][1]
 
     @property
     def n_equations(self):
@@ -120,27 +121,25 @@ class FiberProductSystem:
         n = self.full_system.arity
         return list(range(n - self.n_parameters, n))
 
-    def extract_params(self, point):
-        return np.asarray(point)[self.param_indices()]
 
-
-def build_infinity_condition(hom, scheme, group, suspect):
+def build_infinity_condition(hom, hom_indices, group, suspect):
     """Condition: the suspect solution lies on ``x_h = 0`` for its group.
 
-    ``hom`` is the homogenized-and-patched system; the condition appends the
-    group's homogenizing coordinate as an equation.  No random constants and
-    no auxiliary unknowns are introduced.
+    ``hom`` is the homogenized-and-patched system and ``hom_indices`` its
+    homogenizing coordinates, one per group; the condition appends the
+    group's coordinate as an equation.  No random constants and no auxiliary
+    unknowns are introduced.
     """
     if not suspect.is_near_infinity(group):
         raise ValueError(
             f"suspect is not flagged near infinity for group {group}: {suspect.labels}"
         )
-    coord = Polynomial.variable(scheme.hom_indices[group], hom.arity)
+    coord = Polynomial.variable(hom_indices[group], hom.arity)
     return ConditionSystem(
         kind=INFINITY,
         system=hom.with_polynomials(hom.polynomials + [coord]),
-        constants={"group": group},
         start_block=np.asarray(suspect.point, dtype=complex),
+        group=group,
     )
 
 
@@ -153,12 +152,9 @@ def move_to_slice(detection, points, new_coeffs):
     """
     sliced = detection.sliced_system
     n = sliced.arity
-    D = detection.slice_rows
+    D = len(detection.slice)
     if D == 0:
         return [np.asarray(p, dtype=complex) for p in points]
-    old_rows = slice_coefficient_rows(
-        sliced.with_polynomials(sliced.polynomials[-D:])
-    )
     new_coeffs = np.asarray(new_coeffs, dtype=complex).reshape(D, n + 1)
     arity = n + D * (n + 1)
     polys = [p.remap(arity, list(range(n))) for p in sliced.polynomials[:-D]]
@@ -175,7 +171,8 @@ def move_to_slice(detection, points, new_coeffs):
     names = [f"[c{r},{i}]" for r in range(D) for i in range(n + 1)]
     hsys = PolySystem(polys, sliced.roles + [PARAMETER] * len(names),
                       sliced.names + names)
-    h = Homotopy(hsys, range(n), range(n, arity), old_rows.ravel(), new_coeffs.ravel())
+    h = Homotopy(hsys, range(n), range(n, arity), detection.slice.ravel(),
+                 new_coeffs.ravel())
     out = []
     for p in points:
         res = track_path(h, np.asarray(p, dtype=complex))
@@ -183,6 +180,10 @@ def move_to_slice(detection, points, new_coeffs):
             raise RuntimeError(f"slice-moving homotopy failed: {res.status}")
         out.append(res.endpoint)
     return out
+
+
+def _param_names(f):
+    return [f.names[i] for i in f.indices(PARAMETER)]
 
 
 def build_witness_condition(f, dim_D, points, detection, seed=0):
@@ -196,37 +197,21 @@ def build_witness_condition(f, dim_D, points, detection, seed=0):
     if d == 0:
         raise ValueError("need at least one witness point")
     var = f.indices(VARIABLE, AUXILIARY)
-    par = f.indices(PARAMETER)
-    n = len(var)
     rng = seeded_rng(seed, 11)
-    coeffs = unit_complex(rng, (dim_D, n + 1))
+    coeffs = unit_complex(rng, (dim_D, len(var) + 1))
     pts = move_to_slice(detection, [p.point for p in points], coeffs)
-    arity = d * n + len(par)
-    roles, names = [], []
-    for j in range(d):
-        roles += [f.roles[i] for i in var]
-        names += [f"{f.names[i]}_w{j}" for i in var]
-    roles += [PARAMETER] * len(par)
-    names += [f.names[i] for i in par]
-    polys = []
-    for j in range(d):
-        imap = [0] * f.arity
-        for a, i in enumerate(var):
-            imap[i] = j * n + a
-        for a, i in enumerate(par):
-            imap[i] = d * n + a
-        polys.extend(p.remap(arity, imap) for p in f.polynomials)
-        polys.extend(affine_row(row, range(j * n, j * n + n), arity) for row in coeffs)
-    sys = PolySystem(polys, roles, names)
+    copy = f.with_polynomials(
+        f.polynomials + [affine_row(row, var, f.arity) for row in coeffs]
+    )
+    sys, _ = stack([copy] * d, _param_names(f))
     return ConditionSystem(
         kind=WITNESS,
         system=sys,
-        constants={"slice": coeffs},
         start_block=np.concatenate([np.asarray(p, dtype=complex) for p in pts]),
     )
 
 
-def build_trace_condition(f, dim_D, subset, p_hat, seed=0, detection=None):
+def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
     """Condition: the second-derivative trace over ``subset`` vanishes.
 
     r copies of {f, shared slice, first- and second-order bordered systems}
@@ -238,7 +223,6 @@ def build_trace_condition(f, dim_D, subset, p_hat, seed=0, detection=None):
     if r == 0:
         raise ValueError("empty witness subset")
     var = f.indices(VARIABLE, AUXILIARY)
-    par = f.indices(PARAMETER)
     n = len(var)
     m = len(f.polynomials)
     if m != n - dim_D:
@@ -250,87 +234,57 @@ def build_trace_condition(f, dim_D, subset, p_hat, seed=0, detection=None):
     rng = seeded_rng(seed, 13)
     coeffs = unit_complex(rng, (dim_D, n + 1))
     alpha = unit_complex(rng, n)
-    pts = subset if detection is None else move_to_slice(detection, subset, coeffs)
+    pts = move_to_slice(detection, subset, coeffs)
 
     # start auxiliaries: bordered solves on the fresh slice at p_hat
     fp = f.substitute_params(p_hat)
     f_sliced = fp.with_polynomials(fp.polynomials + [affine_row(coeffs[0], range(n), n)])
     td = trace_data(f_sliced, pts, move_index=n - dim_D, alpha_seed=seed)
 
-    block_per = 3 * n  # x_j, xdot_j, xddot_j
-    arity = r * block_per + len(par)
-    roles, names = [], []
-    for j in range(r):
-        roles += [VARIABLE] * n + [AUXILIARY] * (2 * n)
-        names += (
-            [f"{f.names[i]}_t{j}" for i in var]
-            + [f"{f.names[i]}_d{j}" for i in var]
-            + [f"{f.names[i]}_dd{j}" for i in var]
-        )
-    roles += [PARAMETER] * len(par)
-    names += [f.names[i] for i in par]
+    # one copy over f's indeterminates with xdot and xddot appended
+    arity = f.arity + 2 * n
+    xdot = range(f.arity, f.arity + n)
+    xddot = range(f.arity + n, arity)
+    dot = [Polynomial.variable(i, arity) for i in xdot]
+    ddot = [Polynomial.variable(i, arity) for i in xddot]
+    first = [[p.diff(i).remap(arity, range(f.arity)) for i in var] for p in f.polynomials]
+    polys = [p.remap(arity, range(f.arity)) for p in f.polynomials]
+    polys.append(affine_row(coeffs[0], var, arity))
+    # first-order bordered rows: J f · xdot = 0, c · xdot = 1
+    for i in range(m):
+        row = Polynomial.zero(arity)
+        for a in range(n):
+            row = row + first[i][a] * dot[a]
+        polys.append(row)
+    polys.append(affine_row(np.append(coeffs[0, :n], -1.0), xdot, arity))
+    # second-order bordered rows: J f · xddot + xdotᵀ·Hess·xdot = 0, c · xddot = 0
+    for i in range(m):
+        row = Polynomial.zero(arity)
+        for a in range(n):
+            row = row + first[i][a] * ddot[a]
+        for a in range(n):
+            for b in range(n):
+                q = first[i][a].diff(var[b])
+                if q.is_zero():
+                    continue
+                row = row + q * dot[a] * dot[b]
+        polys.append(row)
+    polys.append(affine_row(np.append(coeffs[0, :n], 0.0), xddot, arity))
+    copy = PolySystem(polys, f.roles + [AUXILIARY] * (2 * n),
+                      f.names + [f"{f.names[i]}_d" for i in var]
+                      + [f"{f.names[i]}_dd" for i in var])
 
-    first_partials = [[f.polynomials[i].diff(var[a]) for a in range(n)] for i in range(m)]
-    second_partials = [
-        [[first_partials[i][a].diff(var[b]) for b in range(n)] for a in range(n)]
-        for i in range(m)
-    ]
-
-    def emb(poly, j, shift):
-        """Remap a poly over f's arity into copy j with block offset shift·n."""
-        imap = [0] * f.arity
-        for a, i in enumerate(var):
-            imap[i] = j * block_per + shift * n + a
-        for a, i in enumerate(par):
-            imap[i] = r * block_per + a
-        return poly.remap(arity, imap)
-
-    def block_var(j, shift, a):
-        return Polynomial.variable(j * block_per + shift * n + a, arity)
-
-    def block_row(j, shift, constant):
-        """``c · (block shift of copy j) + constant``."""
-        start = j * block_per + shift * n
-        return affine_row(np.append(coeffs[0, :n], constant), range(start, start + n), arity)
-
-    polys = []
-    for j in range(r):
-        # f(x_j; p) and L_c(x_j)
-        polys.extend(emb(p, j, 0) for p in f.polynomials)
-        polys.append(block_row(j, 0, coeffs[0, n]))
-        # first-order bordered rows: J f · xdot = 0, c · xdot = 1
-        for i in range(m):
-            row = Polynomial.zero(arity)
-            for a in range(n):
-                row = row + emb(first_partials[i][a], j, 0) * block_var(j, 1, a)
-            polys.append(row)
-        polys.append(block_row(j, 1, -1.0))
-        # second-order bordered rows: J f · xddot + xdotᵀ·Hess·xdot = 0, c · xddot = 0
-        for i in range(m):
-            row = Polynomial.zero(arity)
-            for a in range(n):
-                row = row + emb(first_partials[i][a], j, 0) * block_var(j, 2, a)
-            for a in range(n):
-                for b in range(n):
-                    q = second_partials[i][a][b]
-                    if q.is_zero():
-                        continue
-                    row = row + emb(q, j, 0) * block_var(j, 1, a) * block_var(j, 1, b)
-            polys.append(row)
-        polys.append(block_row(j, 2, 0.0))
+    sys, blocks = stack([copy] * r, _param_names(f))
     # trace row: α · Σ_j xddot_j
-    xddots = [j * block_per + 2 * n + a for j in range(r) for a in range(n)]
-    polys.append(affine_row(np.append(np.tile(alpha, r), 0.0), xddots, arity))
-
+    xddots = [start + 2 * n + a for start, _ in blocks for a in range(n)]
+    trace_row = affine_row(np.append(np.tile(alpha, r), 0.0), xddots, sys.arity)
     start = np.concatenate(
         [np.concatenate([td.points[j], td.first_derivs[j], td.second_derivs[j]])
          for j in range(r)]
     )
-    sys = PolySystem(polys, roles, names)
     return ConditionSystem(
         kind=TRACE,
-        system=sys,
-        constants={"slice": coeffs, "alpha": alpha},
+        system=sys.with_polynomials(sys.polynomials + [trace_row]),
         start_block=start,
     )
 
@@ -360,30 +314,22 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
     R1, _ = np.linalg.qr(Z)
     x0 = point.point
 
-    arity = n + (n - 1) + len(par)
-    roles = [f_sliced.roles[i] for i in var] + [AUXILIARY] * (n - 1) + [PARAMETER] * len(par)
-    names = (
-        [f_sliced.names[i] for i in var]
-        + [f"lam{a}" for a in range(n - 1)]
-        + [f_sliced.names[i] for i in par]
-    )
-    imap = [0] * f_sliced.arity
-    for a, i in enumerate(var):
-        imap[i] = a
-    for a, i in enumerate(par):
-        imap[i] = n + (n - 1) + a
-    polys = [p.remap(arity, imap) for p in f_sliced.polynomials]
+    # λ appended after f_sliced's own indeterminates
+    arity = f_sliced.arity + n - 1
+    lam_idx = range(f_sliced.arity, arity)
+    polys = [p.remap(arity, range(f_sliced.arity)) for p in f_sliced.polynomials]
     # J f_sliced · R1 · [λ; 1] = 0  (row per equation)
-    lam_idx = range(n, 2 * n - 1)
-    for i in range(n):
+    for p in f_sliced.polynomials:
         row = Polynomial.zero(arity)
         for a in range(n):
-            dia = f_sliced.polynomials[i].diff(var[a]).remap(arity, imap)
+            dia = p.diff(var[a]).remap(arity, range(f_sliced.arity))
             if dia.is_zero():
                 continue
             row = row + dia * affine_row(R1[a], lam_idx, arity)
         polys.append(row)
-    sys = PolySystem(polys, roles, names)
+    copy = PolySystem(polys, f_sliced.roles + [AUXILIARY] * (n - 1),
+                      f_sliced.names + [f"lam{a}" for a in range(n - 1)])
+    sys, _ = stack([copy], _param_names(f_sliced))
 
     # start λ from the closest-to-null vector of J·R1, rescaled so the last
     # coordinate of R1⁻¹·v is 1
@@ -399,7 +345,6 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
     return ConditionSystem(
         kind=HILBERT,
         system=sys,
-        constants={"R1": R1},
         start_block=np.concatenate([x0[:n], lam]),
     )
 

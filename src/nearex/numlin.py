@@ -77,11 +77,6 @@ def null_space(A, tol=DEFAULT_RANK_TOL):
     return Vh[rank:].conj().T
 
 
-def nullity(A, tol=DEFAULT_RANK_TOL):
-    A = np.asarray(A, dtype=complex)
-    return A.shape[1] - numerical_rank(A, tol)
-
-
 def lstsq(A, b):
     """Minimum-norm least-squares solution of ``A x = b``."""
     A = np.asarray(A, dtype=complex)

@@ -24,13 +24,14 @@ solution, so setting it there is an error.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine
-from .algebra import PolySystem, parse_system
+from .algebra import parse_system
 from .structure import INFINITY_NEAR_TOL
 
 KINDS = ("infinity", "positive_dim", "factor", "multiplicity")
@@ -38,6 +39,12 @@ KINDS = ("infinity", "positive_dim", "factor", "multiplicity")
 
 class ProblemError(ValueError):
     """The problem file is malformed."""
+
+
+@functools.lru_cache(maxsize=16)
+def _parse(source):
+    # a PolySystem is immutable by convention, so callers may share one
+    return parse_system(source)
 
 
 def _complex_list(values, what):
@@ -65,7 +72,6 @@ class ProblemFile:
     p_tilde: np.ndarray = None
     options: dict = field(default_factory=dict)
     name: str = ""
-    _system: PolySystem = field(default=None, init=False, repr=False)  # set by build_system
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
@@ -142,11 +148,10 @@ class ProblemFile:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def build_system(self):
-        """The parsed system, checked against ``p_hat`` and the groups.  The
-        source is parsed on the first call only."""
-        if self._system is not None:
-            return self._system
-        system = parse_system(self.source)
+        """The parsed system, checked against ``p_hat`` and the groups.  A
+        source text is parsed once and then read from a small cache, so the
+        samples of a study (copies with another ``p_hat``) share one parse."""
+        system = _parse(self.source)
         n_par = len(system.indices("parameter"))
         if len(self.p_hat) != n_par:
             raise ProblemError(
@@ -156,7 +161,6 @@ class ProblemFile:
             for nm in g:
                 if nm not in system.names:
                     raise ProblemError(f"unknown variable {nm!r} in groups")
-        self._system = system
         return system
 
     def options_with(self, overrides=None):

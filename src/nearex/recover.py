@@ -157,9 +157,7 @@ def descend(G):
     res = track_path(h, start)
     endpoint = res.endpoint
     if res.status == SUCCESS:
-        endpoint, _ = newton_refine(
-            sys, endpoint, tol=1e-14, max_iter=10, unknowns=range(sys.arity)
-        )
+        endpoint, _ = newton_refine(sys, endpoint)
     p_star = endpoint[G.param_indices]
     deltas = p_star - G.p_hat
     fiber_res = float(
@@ -194,11 +192,11 @@ def descend(G):
     )
 
 
-def report(result, fiber=None, extra=None):
+def report(result, fiber, extra=None):
     """Structured JSON-ready report of a recovery run."""
     doc = {
         "status": result.status,
-        "p_hat": _cseq(fiber.p_hat) if fiber is not None else None,
+        "p_hat": _cseq(fiber.p_hat),
         "p_star": _cseq(result.p_star),
         "distance": result.distance,
         "deltas": _cseq(result.deltas),
@@ -207,11 +205,10 @@ def report(result, fiber=None, extra=None):
         "path_steps": result.track.steps,
         "final_t": result.track.final_t,
         "validation": result.validation,
+        "component_systems": len(fiber.components),
+        "structure_kinds": [c.kind for c in fiber.components],
+        "system_size": fiber.system_size(),
     }
-    if fiber is not None:
-        doc["component_systems"] = len(fiber.components)
-        doc["structure_kinds"] = [c.kind for c in fiber.components]
-        doc["system_size"] = fiber.system_size()
     if extra:
         doc.update(extra)
     return doc

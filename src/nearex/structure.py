@@ -19,7 +19,7 @@ from .algebra import (
     PARAMETER,
     VARIABLE,
     PolySystem,
-    generic_slice,
+    affine_row,
     randomize,
     seeded_rng,
     unit_complex,
@@ -64,7 +64,7 @@ class WitnessSupersetResult:
     points: list
     sliced_system: PolySystem  # randomized f rows followed by slice rows
     parameterized: PolySystem  # the same rows with the parameters left symbolic
-    slice_rows: int
+    slice: np.ndarray  # (D, n+1) coefficients of the slice rows
 
 
 def solution_residual(f, x):
@@ -84,19 +84,6 @@ def classify_residual(f, x):
     return res, label
 
 
-def parameterized_sliced_system(f, dim_D, seed):
-    """``{R_{n-D} f, L_D}``: the randomized-and-sliced system of
-    :func:`witness_superset` with the parameters left symbolic."""
-    var = f.indices(VARIABLE, AUXILIARY)
-    n = len(var)
-    rand = randomize(f, n - dim_D, seed=seed) if len(f.polynomials) != n - dim_D else f
-    if dim_D == 0:
-        return rand
-    sl = generic_slice(n, dim_D, seed=seed + 1)
-    sl_polys = [q.remap(f.arity, var) for q in sl.polynomials]
-    return f.with_polynomials(rand.polynomials + sl_polys)
-
-
 def witness_superset(f, p, dim_D, seed=0):
     """Solve ``{R_{n-D} f, L_D}`` ab initio and classify endpoints against f.
 
@@ -104,10 +91,15 @@ def witness_superset(f, p, dim_D, seed=0):
     Returns a :class:`WitnessSupersetResult` so downstream condition builders
     can reuse the realized slice and randomization.
     """
-    n = len(f.indices(VARIABLE, AUXILIARY))
+    var = f.indices(VARIABLE, AUXILIARY)
+    n = len(var)
     if n - dim_D < 1:
         raise ValueError(f"n - D = {n - dim_D} must be at least 1")
-    parameterized = parameterized_sliced_system(f, dim_D, seed)
+    rand = randomize(f, n - dim_D, seed=seed) if len(f.polynomials) != n - dim_D else f
+    coeffs = unit_complex(seeded_rng(seed + 1), (dim_D, n + 1))
+    parameterized = f.with_polynomials(
+        rand.polynomials + [affine_row(row, var, f.arity) for row in coeffs]
+    )
     if f.indices(PARAMETER):
         fp = f.substitute_params(p)
         sliced = parameterized.substitute_params(p)
@@ -127,7 +119,7 @@ def witness_superset(f, p, dim_D, seed=0):
         points=points,
         sliced_system=sliced,
         parameterized=parameterized,
-        slice_rows=dim_D,
+        slice=coeffs,
     )
 
 
@@ -190,9 +182,6 @@ class TraceData:
 
     def trace(self, subset):
         return self.subset_traces[frozenset(subset)]
-
-    def full_trace(self):
-        return self.trace(range(len(self.points)))
 
 
 def _hessian_quadratic_form(poly, var, w, wdot):

@@ -43,6 +43,8 @@ CORRECTOR_TOL = 1e-10
 CORRECTOR_STEPS = 3
 POLISH_ITERS = 10
 LSTSQ_POLISH_ITERS = 40  # Gauss-Newton fallback when the Newton polish fails
+REFINE_TOL = 1e-14  # newton_refine: step relative to 1 + the point's norm
+REFINE_ITERS = 10
 START_TOL = 1e-8
 DIVERGENCE_BOUND = 1e12
 
@@ -284,27 +286,20 @@ def parameter_homotopy(sys, p1, p0, starts):
     return [track_path(h, np.asarray(x, dtype=complex)) for x in starts]
 
 
-def newton_refine(sys, point, tol=1e-12, max_iter=20, unknowns=None):
-    """Newton's method on a square system; returns (point, converged).
-
-    When ``unknowns`` is omitted, every indeterminate is treated as unknown
-    (parameters must be substituted or listed explicitly).
-    """
-    if unknowns is None:
-        unk = _square_check(sys)
-        if len(unk) != sys.arity:
-            raise ValueError("system has non-unknown indeterminates; substitute them first")
-    else:
-        unk = list(unknowns)
-        if len(unk) != len(sys.polynomials) or len(unk) != sys.arity:
-            raise ValueError("unknown list must cover all indeterminates of a square system")
+def newton_refine(sys, point):
+    """Newton's method on a system square in all its indeterminates; returns
+    (point, converged)."""
+    if len(sys.polynomials) != sys.arity:
+        raise ValueError(
+            f"{len(sys.polynomials)} equations for {sys.arity} indeterminates"
+        )
     x = np.asarray(point, dtype=complex).copy()
-    for _ in range(max_iter):
+    for _ in range(REFINE_ITERS):
         try:
             dx = solve_square(sys.jacobian(x), -sys.evaluate(x))
         except SingularMatrixError:
             return x, False
         x = x + dx
-        if np.linalg.norm(dx) <= tol * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(dx) <= REFINE_TOL * (1.0 + np.linalg.norm(x)):
             return x, True
     return x, False

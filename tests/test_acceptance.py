@@ -66,7 +66,7 @@ def test_double_root_newton_and_two_parameter_descent():
     # one free parameter: Newton on {f, f'} in the unknowns (x, p1)
     fixed = both.substitute({2: DOUBLE_ROOT_P_HAT[1]})
     start = np.array([-np.sqrt(2.0), DOUBLE_ROOT_P_HAT[0]], dtype=complex)
-    refined, ok = newton_refine(fixed, start, tol=1e-14, unknowns=[0, 1])
+    refined, ok = newton_refine(fixed, start)
     assert ok
     assert refined[0] == pytest.approx(DOUBLE_ROOT_ONE_PARAM[0], abs=1e-12)
     assert refined[1] == pytest.approx(DOUBLE_ROOT_ONE_PARAM[1], abs=1e-12)
@@ -74,7 +74,7 @@ def test_double_root_newton_and_two_parameter_descent():
     # both parameters free: nearest point on the double-root locus
     from nearex.fiberprod import ConditionSystem
 
-    comp = ConditionSystem(kind="witness", system=both, constants={},
+    comp = ConditionSystem(kind="witness", system=both,
                            start_block=np.array([-np.sqrt(2.0) + 0j]))
     F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
     res = descend(build_lagrange(F, patch_seed=0))
@@ -280,7 +280,7 @@ def test_path_counts_derivative_tables_monotonicity_and_determinism():
     base = parse_system(DOUBLE_ROOT_SOURCE)
     both = base.with_polynomials([base.polynomials[0],
                                   base.polynomials[0].diff(0)])
-    comp = ConditionSystem(kind="witness", system=both, constants={},
+    comp = ConditionSystem(kind="witness", system=both,
                            start_block=np.array([-np.sqrt(2.0) + 0j]))
     F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
     G = build_lagrange(F, patch_seed=0)

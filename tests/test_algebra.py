@@ -4,16 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from nearex.algebra import (
     AUXILIARY,
-    HomogenizationScheme,
     PARAMETER,
     ParseError,
     Polynomial,
     PolySystem,
     VARIABLE,
-    concat_systems,
     format_polynomial,
     format_system,
-    generic_slice,
     homogenize,
     parse_system,
     randomize,
@@ -136,8 +133,8 @@ def test_substitute_params_fixes_parameters():
 
 def test_homogenize_single_group():
     sys = parse_system("vars x1, x2; params p; poly x1^2 + p*x2 + 1; poly x1*x2 - 2;")
-    hom, scheme = homogenize(sys, HomogenizationScheme(groups=[[0, 1]]), seed=5)
-    hidx = scheme.hom_indices[0]
+    hom, hom_indices = homogenize(sys, [[0, 1]], seed=5)
+    hidx = hom_indices[0]
     # every polynomial homogeneous of its degree within the group
     group = [0, 1, hidx]
     for orig, p in zip(sys.polynomials, hom.polynomials[: len(sys.polynomials)]):
@@ -151,25 +148,25 @@ def test_homogenize_single_group():
 
 def test_homogenize_two_groups_partitions_variables():
     sys = parse_system("vars x1, x2; poly x1*x2 - 1;")
-    hom, scheme = homogenize(sys, HomogenizationScheme(groups=[[0], [1]]), seed=0)
-    assert len(scheme.hom_indices) == 2
+    hom, hom_indices = homogenize(sys, [[0], [1]], seed=0)
+    assert len(hom_indices) == 2
     assert len(hom.polynomials) == 1 + 2
     with pytest.raises(ValueError):
-        homogenize(sys, HomogenizationScheme(groups=[[0]]), seed=0)
+        homogenize(sys, [[0]], seed=0)
 
 
 def test_homogenize_dehomogenizes_back():
     sys = parse_system("vars x1, x2; poly x1^2 + x2 - 3;")
-    hom, scheme = homogenize(sys, HomogenizationScheme(groups=[[0, 1]]), seed=1)
+    hom, hom_indices = homogenize(sys, [[0, 1]], seed=1)
     rng = seeded_rng(9)
     x = rng.normal(size=2) + 1j * rng.normal(size=2)
     full = np.zeros(hom.arity, dtype=complex)
     full[[0, 1]] = x
-    full[scheme.hom_indices[0]] = 1.0
+    full[hom_indices[0]] = 1.0
     assert hom.evaluate(full)[0] == pytest.approx(sys.evaluate(x)[0])
 
 
-# -- randomization and slicing ----------------------------------------------
+# -- randomization -----------------------------------------------------------
 
 
 def test_randomize_preserves_solutions():
@@ -178,24 +175,6 @@ def test_randomize_preserves_solutions():
     assert len(rnd.polynomials) == 2
     x = np.array([1.0, 2.0], dtype=complex)
     assert np.linalg.norm(rnd.evaluate(x)) < 1e-12
-
-
-def test_generic_slice_has_unit_modulus_coefficients():
-    sliced = generic_slice(3, 2, seed=7)
-    assert len(sliced.polynomials) == 2
-    for p in sliced.polynomials:
-        assert p.degree() == 1
-        for e, c in p.terms.items():
-            assert abs(abs(c) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        generic_slice(3, 4)
-
-
-def test_concat_systems_stacks_equations():
-    a = parse_system("vars x; poly x - 1;")
-    b = parse_system("vars x; poly x + 1;")
-    ab = concat_systems([a, b], a.roles, a.names)
-    assert len(ab.polynomials) == 2
 
 
 # -- seeded randomness -------------------------------------------------------

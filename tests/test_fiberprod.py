@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nearex.algebra import PARAMETER, parse_system
-from nearex.engine import parameterized_sliced_system
 from nearex.fiberprod import (
     FiberProductSystem,
     build_hilbert_condition,
@@ -43,16 +42,16 @@ def test_witness_condition_start_block_nearly_satisfies_it():
 def test_trace_condition_requires_square_curve_setup():
     f, p_hat, ws, cands = posdim_detection()
     with pytest.raises(ValueError):
-        build_trace_condition(f, 2, cands[:1], seed=0, p_hat=p_hat)
+        build_trace_condition(f, 2, cands[:1], seed=0, p_hat=p_hat, detection=ws)
     with pytest.raises(ValueError):
-        build_trace_condition(f, 1, [], seed=0, p_hat=p_hat)
+        build_trace_condition(f, 1, [], seed=0, p_hat=p_hat, detection=ws)
 
 
 def test_hilbert_condition_restricted_to_multiplicity_two():
     f, _, p_hat, _ = load("multiplicity_line")
     p_hat = np.asarray(p_hat, dtype=complex)
-    sliced = parameterized_sliced_system(f, 1, seed=0)
     ws = witness_superset(f, p_hat, 1, seed=0)
+    sliced = ws.parameterized
     cand = min(ws.points, key=lambda cp: cp.residual_full_system)
     with pytest.raises(ValueError):
         build_hilbert_condition(sliced, cand, (1, 2), seed=0, p_hat=p_hat)
@@ -75,7 +74,7 @@ def test_fiber_product_shares_the_parameter_block():
     assert F.n_block_unknowns == c1.block_size + c2.block_size
     assert F.system_size() == F.n_equations + F.n_block_unknowns + 2
     sp = F.start_point()
-    assert np.array_equal(F.extract_params(sp), p_hat)
+    assert np.array_equal(sp[F.param_indices()], p_hat)
 
 
 def test_image_dimension_single_witness_condition():

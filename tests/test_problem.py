@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -112,6 +113,12 @@ def test_load_and_run_parse_the_source_once(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(nearex.problem, "parse_system", counted)
-    outcome = ProblemFile.load(FIXTURE_DIR / "double_root.json").run(seed=0)
+    nearex.problem._parse.cache_clear()  # an earlier test may have parsed it
+    prob = ProblemFile.load(FIXTURE_DIR / "double_root.json")
+    outcome = prob.run(seed=0)
     assert outcome.validated
+    # the samples of a study: copies with p_hat replaced, as `nearex study` makes them
+    for k in range(5):
+        shifted = dataclasses.replace(prob, p_hat=prob.p_hat + 0.01 * (k + 1))
+        shifted.run(seed=k)
     assert len(calls) == 1

@@ -34,8 +34,7 @@ def double_root_fiber(params="p1, p2"):
 
     # start at the root of f(x; p_hat) closest to the double-root locus
     x0 = np.array([-np.sqrt(2.0) + 0j])
-    return ConditionSystem(kind="witness", system=cond_sys, constants={},
-                           start_block=x0)
+    return ConditionSystem(kind="witness", system=cond_sys, start_block=x0)
 
 
 def test_newton_on_root_and_derivative_reaches_the_double_root():
@@ -45,7 +44,7 @@ def test_newton_on_root_and_derivative_reaches_the_double_root():
     # fix p2 at its nominal value; unknowns are (x, p1)
     fixed = both.substitute({2: DOUBLE_ROOT_P_HAT[1]})
     start = np.array([-np.sqrt(2.0), DOUBLE_ROOT_P_HAT[0]], dtype=complex)
-    refined, ok = newton_refine(fixed, start, tol=1e-14, unknowns=[0, 1])
+    refined, ok = newton_refine(fixed, start)
     assert ok
     assert refined[0] == pytest.approx(DOUBLE_ROOT_ONE_PARAM[0], abs=1e-12)
     assert refined[1] == pytest.approx(DOUBLE_ROOT_ONE_PARAM[1], abs=1e-12)

@@ -31,6 +31,9 @@ def test_witness_superset_finds_the_component_point():
     # one point nearly satisfies the full system, the other does not
     assert residuals[0] < 0.1
     assert residuals[1] > 0.3
+    # one slice row over (x, y, 1), with unit-modulus coefficients
+    assert ws.slice.shape == (1, 3)
+    assert np.allclose(np.abs(ws.slice), 1.0, rtol=0, atol=1e-12)
 
 
 def test_witness_superset_rejects_excessive_dimension():
@@ -112,7 +115,7 @@ def test_full_trace_is_sum_of_subset_traces():
     pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
     td = trace_data(sq, pts, move_index=1, alpha_seed=3)
     parts = td.trace([0, 1]) + td.trace([2, 3])
-    assert td.full_trace() == pytest.approx(parts, rel=1e-12)
+    assert td.trace(range(4)) == pytest.approx(parts, rel=1e-12)
 
 
 # -- Macaulay matrices and the local Hilbert function -----------------------
