@@ -422,41 +422,40 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
     """Impose a multiplicity-two component via a rank-deficient Jacobian."""
     p_hat = np.asarray(p_hat, dtype=complex)
     param_names = [f.names[i] for i in f.indices(PARAMETER)]
-    ws = witness_superset(f, p_hat, dim_D, seed=seed)
-    sliced_param = ws.parameterized
-    var = sliced_param.indices(VARIABLE, AUXILIARY)
-
-    # candidates ordered by how nearly the original system vanishes; the
-    # persistence check in validation rejects wrong picks, so this order
-    # only decides how many descents are attempted
-    scored = [cp for cp in ws.points if np.all(np.isfinite(cp.point))]
-    scored.sort(key=lambda cp: cp.residual_full_system)
-    if not scored:
-        raise StructureNotFoundError("no witness points to examine")
-
     last = None
-    for cand in scored:
-        def builder(i, c, s):
-            return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
+    for attempt in range(2):  # a detection none of whose candidates validates is redrawn
+        s0 = seed + 1013 * attempt
+        ws = witness_superset(f, p_hat, dim_D, seed=s0)
+        sliced_param = ws.parameterized
+        # candidates ordered by how nearly the original system vanishes; the
+        # persistence check in validation rejects wrong picks, so this order
+        # only decides how many descents are attempted
+        scored = [cp for cp in ws.points if np.all(np.isfinite(cp.point))]
+        scored.sort(key=lambda cp: cp.residual_full_system)
+        for cand in scored:
+            def builder(i, c, s):
+                return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
 
-        stab = stabilize(
-            builder, range(n_trials), param_names, p_hat, seed=seed,
-            stop_on_plateau=False, cumulative=True,
-            tol=rank_tol,
-        )
-        G = build_lagrange(stab.fiber_product, patch_seed=seed)
-        res = descend(G)
-        if res.status == "recovered":
-            res.validation = _validate_multiplicity(
-                f, sliced_param, res, prefix, stab.fiber_product, dim_D, seed
+            stab = stabilize(
+                builder, range(n_trials), param_names, p_hat, seed=s0,
+                stop_on_plateau=False, cumulative=True,
+                tol=rank_tol,
             )
-        out = RunOutcome(
-            structure="multiplicity", result=res, fiber=stab.fiber_product,
-            stabilization=stab, points=ws.points,
-        )
-        if out.validated:
-            return out
-        last = out
+            G = build_lagrange(stab.fiber_product, patch_seed=s0)
+            res = descend(G)
+            if res.status == "recovered":
+                res.validation = _validate_multiplicity(
+                    f, sliced_param, res, prefix, stab.fiber_product, dim_D, seed
+                )
+            out = RunOutcome(
+                structure="multiplicity", result=res, fiber=stab.fiber_product,
+                stabilization=stab, points=ws.points,
+            )
+            if out.validated:
+                return out
+            last = out
+    if last is None:
+        raise StructureNotFoundError("no witness points to examine")
     return last
 
 

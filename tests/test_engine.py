@@ -99,6 +99,20 @@ def test_multiplicity_study_samples_are_on_the_parabola_or_not_validated(sample)
     assert solution_residual(f.substitute_params(res.p_star), x_star) <= 1e-6
 
 
+def test_multiplicity_retries_a_detection_whose_candidates_all_fail():
+    # sample 44 of the multiplicity_line study (seed 0, sigma 0.1): every
+    # candidate of the first detection descends to a double point of the
+    # randomized, sliced system only; the redrawn detection validates
+    f, p_tilde, _, _ = load("multiplicity_line")
+    rng = seeded_rng(0, 29, 44)
+    p_hat = np.real(p_tilde) + 0.1 * rng.normal(size=2)
+    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=44)
+    assert out.validated
+    assert np.max(np.abs(np.imag(out.result.p_star))) <= 1e-6
+    p = np.real(out.result.p_star)
+    assert abs(p[0] ** 2 - p[1]) < 1e-8
+
+
 def test_multiplicity_zero_dimensional_double_root():
     f, _, p_hat, _ = load("double_root")
     out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=0, seed=0)
