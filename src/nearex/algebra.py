@@ -272,12 +272,12 @@ class CompiledSystem:
                         fexp.append(k)
                         fterm.append(t)
                 t += 1
+        # per-point arrays are rows, for numpy's same-shape fast path at one point
         self.rows = np.asarray(rows, dtype=np.intp)
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.coeffs = np.asarray(coeffs, dtype=complex)[None]
         self.fvar = np.asarray(fvar, dtype=np.intp)
-        self.fexp = np.asarray(fexp, dtype=np.intp)
+        self.fexp = np.asarray(fexp, dtype=complex)[None]  # power casts exponents to complex
         self.fterm = np.asarray(fterm, dtype=np.intp)
-        self.n_terms = t
 
         jrow, jcol, jcoeff, jfvar, jfexp, jfterm = [], [], [], [], [], []
         jt = 0
@@ -296,35 +296,53 @@ class CompiledSystem:
                             jfexp.append(k2)
                             jfterm.append(jt)
                     jt += 1
-        self.jrow = np.asarray(jrow, dtype=np.intp)
-        self.jcol = np.asarray(jcol, dtype=np.intp)
-        self.jcoeff = np.asarray(jcoeff, dtype=complex)
+        self.jentry = np.asarray(jrow, dtype=np.intp) * arity + np.asarray(jcol, dtype=np.intp)
+        self.jcoeff = np.asarray(jcoeff, dtype=complex)[None]
         self.jfvar = np.asarray(jfvar, dtype=np.intp)
-        self.jfexp = np.asarray(jfexp, dtype=np.intp)
+        self.jfexp = np.asarray(jfexp, dtype=complex)[None]
         self.jfterm = np.asarray(jfterm, dtype=np.intp)
-        self.jn_terms = jt
 
         self.coefficient_norm = float(np.linalg.norm(self.coeffs)) if t else 0.0
 
     def evaluate(self, point):
+        """Values at one point, or at each row of a ``(P, arity)`` stack."""
         point = np.asarray(point, dtype=complex)
-        if point.shape[0] != self.arity:
-            raise ValueError(f"point length {point.shape[0]} != arity {self.arity}")
-        mono = np.ones(self.n_terms, dtype=complex)
-        if self.fvar.size:
-            np.multiply.at(mono, self.fterm, point[self.fvar] ** self.fexp)
-        out = np.zeros(self.n_eqs, dtype=complex)
-        np.add.at(out, self.rows, self.coeffs * mono)
-        return out
+        if point.shape[-1] != self.arity:
+            raise ValueError(f"point length {point.shape[-1]} != arity {self.arity}")
+        out = _sum_products(point.reshape(-1, self.arity), self.fvar, self.fexp, self.fterm,
+                            self.coeffs, self.rows, self.n_eqs)
+        return out.reshape(point.shape[:-1] + (self.n_eqs,))
 
     def jacobian(self, point):
+        """Jacobian at one point, or at each row of a ``(P, arity)`` stack."""
         point = np.asarray(point, dtype=complex)
-        mono = np.ones(self.jn_terms, dtype=complex)
-        if self.jfvar.size:
-            np.multiply.at(mono, self.jfterm, point[self.jfvar] ** self.jfexp)
-        out = np.zeros(self.n_eqs * self.arity, dtype=complex)
-        np.add.at(out, self.jrow * self.arity + self.jcol, self.jcoeff * mono)
-        return out.reshape(self.n_eqs, self.arity)
+        out = _sum_products(point.reshape(-1, self.arity), self.jfvar, self.jfexp, self.jfterm,
+                            self.jcoeff, self.jentry, self.n_eqs * self.arity)
+        return out.reshape(point.shape[:-1] + (self.n_eqs, self.arity))
+
+
+def _sum_products(stack, fvar, fexp, fterm, coeffs, entry, size):
+    """``out[entry[i]] += coeffs[i] · Π factors of term i`` for each point of
+    the stack, into a flat ``(P·size,)`` array."""
+    P, n_terms = len(stack), coeffs.shape[1]
+    mono = np.empty((P, n_terms), dtype=complex)
+    mono.fill(1.0)
+    if fvar.size:
+        factors = stack.take(fvar, axis=1)
+        np.power(factors, fexp, out=factors)
+        np.multiply.at(mono.reshape(-1), per_point(fterm, P, n_terms), factors.reshape(-1))
+    np.multiply(coeffs, mono, out=mono)
+    out = np.zeros(P * size, dtype=complex)
+    np.add.at(out, per_point(entry, P, size), mono.reshape(-1))
+    return out
+
+
+def per_point(index, P, stride):
+    """``index`` repeated for P points ``stride`` apart: a 1-D ``ufunc.at`` over
+    it runs each point's products and sums in the order of a single point."""
+    if P == 1:
+        return index
+    return (index + stride * np.arange(P)[:, None]).reshape(-1)
 
 
 class PolySystem:

@@ -3,13 +3,13 @@
 Thin wrappers over LAPACK (via numpy/scipy) that make the numerical-rank
 tolerance policy of the package explicit in one place.
 
-Square solves call LAPACK ``zgetrf``/``zgetrs`` directly.  They are the
-routines that ``scipy.linalg.lu_factor``/``lu_solve`` wrap, so the results
-are bit for bit the same, but SciPy's batching and array-conversion layers
-cost several times the LAPACK work of the tracker's small solves.  ``zgesv``
-and ``np.linalg.solve`` round differently in the last bits.  A raw ``zgetrf``
-reports an exactly zero pivot in ``info`` rather than by a ``LinAlgWarning``,
-so that case raises :class:`SingularMatrixError` like any other small pivot.
+Square solves call LAPACK ``zgetrf``/``zgetrs`` directly, a matrix at a time:
+bitwise what ``scipy.linalg.lu_factor``/``lu_solve`` wrap, without SciPy's
+layers that cost several times the LAPACK work of the tracker's small solves
+(``zgesv`` and ``np.linalg.solve``, also on a stack, round differently).
+:func:`solve_stack` flags each singular matrix of a stack; :func:`solve_square`,
+its one-matrix case, raises :class:`SingularMatrixError`.  An exactly zero
+pivot, reported in ``info`` rather than by a ``LinAlgWarning``, is singular too.
 """
 
 from __future__ import annotations
@@ -26,30 +26,57 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a square solve meets a numerically zero pivot."""
 
 
+def row_norms(V):
+    """Euclidean norm of each row of ``V``: bitwise ``np.linalg.norm`` of it."""
+    return np.sqrt(np.vecdot(V.real, V.real) + np.vecdot(V.imag, V.imag))
+
+
+def _solve(A, b):
+    """``(x, ok, smallest pivot, ‖A‖)`` per matrix of a stack, under the one
+    pivot rule: singular when ``‖A‖ = 0`` or ``min |U_ii| <= 1e-14 ‖A‖``."""
+    P, n = A.shape[:2]
+    if n == 0:
+        return np.zeros(b.shape, dtype=complex), np.ones(P, dtype=bool), None, None
+    x = np.empty(b.shape, dtype=complex)
+    lus = A.transpose(0, 2, 1).copy()  # holds each A[k] in Fortran order
+    for k in range(P):
+        lu, piv, info = zgetrf(lus[k].T, 1)  # in place
+        if info < 0:
+            raise SingularMatrixError(f"illegal value in argument {-info} of zgetrf")
+        x[k] = zgetrs(lu, piv, b[k])[0]
+    norm = row_norms(A.reshape(P, n * n))
+    smallest = np.minimum.reduce(np.abs(lus.diagonal(0, 1, 2)), 1)
+    singular = [nk == 0 or sk <= _PIVOT_TOL * nk for sk, nk in zip(smallest.tolist(), norm.tolist())]
+    if any(singular):
+        x[singular] = 0
+    return x, np.logical_not(singular), smallest, norm
+
+
+def solve_stack(A, b):
+    """Solve ``A[k] x[k] = b[k]`` for a ``(P, n, n)`` stack: ``(x, ok)``, where
+    ``ok[k]`` is False exactly where :func:`solve_square` raises on ``A[k]``
+    and ``x[k]`` is then zero.  Every other row is bitwise its solution."""
+    return _solve(np.asarray(A, dtype=complex), np.asarray(b, dtype=complex))[:2]
+
+
 def solve_square(A, b):
     """Solve ``A x = b`` for square ``A`` by LU with partial pivoting.
 
     Raises :class:`SingularMatrixError` when the smallest pivot magnitude is
     below ``1e-14 * ||A||``.
     """
-    A = np.ascontiguousarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if b.ndim == 0 or b.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    if A.shape[0] == 0:
-        return np.zeros_like(b)
-    norm = np.linalg.norm(A)
-    lu, piv, info = zgetrf(A)
-    if info < 0:
-        raise SingularMatrixError(f"illegal value in argument {-info} of zgetrf")
-    pivots = np.abs(np.diag(lu))
-    if norm == 0 or pivots.min() <= _PIVOT_TOL * norm:
+    x, ok, smallest, norm = _solve(A[None], b[None])
+    if not ok[0]:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {_PIVOT_TOL * norm:.3e}"
+            f"pivot {smallest[0]:.3e} below threshold {_PIVOT_TOL * norm[0]:.3e}"
         )
-    return zgetrs(lu, piv, b)[0]
+    return x[0]
 
 
 def singular_values(A):

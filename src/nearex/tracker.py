@@ -6,11 +6,16 @@ path indeterminates ``q`` run from ``q1`` at t = 1 to ``q0`` at t = 0 and the
 remaining indeterminates ``x`` are the tracked unknowns.  Prediction is
 fourth-order Runge–Kutta on the Davidenko equation ``J_x dx/dt = -dH/dt``,
 correction is plain Newton at fixed ``t``.
+
+:func:`track_paths` moves all paths of a homotopy in lock-step, as
+HomotopyContinuation.jl does (Breiding & Timme 2018), each path ending bit
+for bit where it ends when tracked alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,10 +25,11 @@ from .algebra import (
     VARIABLE,
     Polynomial,
     PolySystem,
+    per_point,
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, lstsq, solve_square
+from .numlin import SingularMatrixError, lstsq, row_norms, solve_square, solve_stack
 
 SUCCESS = "success"
 DIVERGED = "diverged"
@@ -67,30 +73,31 @@ class Homotopy:
         q0 = np.asarray(q0, dtype=complex)
         if q1.shape != (len(path),) or q0.shape != (len(path),):
             raise ValueError(f"expected {len(path)} path values at each end")
-        # full-length vectors, zero at the unknowns: a point costs one axpy
-        # and one scatter, and dH/dt = J · direction
-        self.base = np.zeros(system.arity, dtype=complex)
-        self.base[path] = q0
+        # full-length vectors, zero at the unknowns: a point costs one axpy and
+        # one scatter (base is a row: numpy's same-shape fast path), dH/dt = J·direction
+        self.base = np.zeros((1, system.arity), dtype=complex)
+        self.base[0, path] = q0
         self.direction = np.zeros(system.arity, dtype=complex)
         self.direction[path] = q1 - q0
 
     def _full(self, x, t):
-        full = self.direction * t
+        full = np.asarray(t).reshape(-1, 1) * self.direction
         full += self.base
-        full[self.unknowns] = x
-        return full
+        full.put(per_point(self.unknowns, len(full), len(self.direction)), x)
+        return full if x.ndim > 1 else full[0]
 
     def evaluate(self, x, t):
+        """H at (x, t): one point, or a ``(P, n)`` stack at ``(P,)`` values of t."""
         return self.system.evaluate(self._full(x, t))
 
     def jacobian_x(self, x, t):
         """J_x at (x, t)."""
-        return self.system.compiled.jacobian(self._full(x, t))[:, self.unknowns]
+        return self.system.compiled.jacobian(self._full(x, t)).take(self.unknowns, axis=-1)
 
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
         J = self.system.compiled.jacobian(self._full(x, t))
-        return J[:, self.unknowns], J.dot(self.direction)
+        return J.take(self.unknowns, axis=-1), J @ self.direction
 
 
 @dataclass
@@ -107,91 +114,130 @@ class TrackResult:
 
 
 def _newton_correct(h, x, t, tol, max_steps):
-    """Newton at fixed t. Returns (x, residual, converged).
+    """Newton at fixed t on each row of a stack: ``(x, residual, converged)``.
 
+    A row stops at its first step of at most ``tol`` or singular Jacobian.
     H is evaluated once per iterate: the value that gives an iterate's
     residual is the right-hand side of the step from it.
     """
+    x = x.copy()
     H = h.evaluate(x, t)
-    res = float(np.linalg.norm(H))
+    res = row_norms(H)
+    ok = np.zeros(len(x), dtype=bool)
+    rows, xr, tr = np.arange(len(x)), x, t  # the rows still iterating
     for _ in range(max_steps):
-        Jx = h.jacobian_x(x, t)
-        try:
-            dx = solve_square(Jx, -H)
-        except SingularMatrixError:
-            return x, res, False
-        x = x + dx
-        H = h.evaluate(x, t)
-        res = float(np.linalg.norm(H))
-        if np.linalg.norm(dx) <= tol:
-            return x, res, True
-    return x, res, res <= tol
+        dx, solved = solve_stack(h.jacobian_x(xr, tr), -H)
+        if not all(solved.tolist()):  # a singular row stops where it is
+            rows, xr, tr, dx = rows[solved], xr[solved], tr[solved], dx[solved]
+        xr = xr + dx
+        H = h.evaluate(xr, tr)
+        x[rows], res[rows] = xr, row_norms(H)
+        done = row_norms(dx) <= tol
+        flags = done.tolist()
+        if all(flags):
+            ok[rows] = True
+            return x, res, ok
+        if any(flags):
+            ok[rows[done]] = True
+            rows, xr, tr, H = rows[~done], xr[~done], tr[~done], H[~done]
+    ok[rows] = res[rows] <= tol
+    return x, res, ok
 
 
 def _predict_rk4(h, x, t, dt):
-    """One RK4 step of the Davidenko ODE from t to t+dt (dt < 0)."""
+    """One RK4 step of the Davidenko ODE from t to t+dt (dt < 0) on each row
+    of a stack: ``(x, ok)``, where ok is False if a slope was singular."""
 
     def slope(xv, tv):
         Jx, Ht = h.jacobians(xv, tv)
-        return solve_square(Jx, -Ht)
+        return solve_stack(Jx, -Ht)
 
-    k1 = slope(x, t)
-    k2 = slope(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = slope(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = slope(x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    half = 0.5 * dt
+    k1, ok1 = slope(x, t)
+    k2, ok2 = slope(x + half[:, None] * k1, t + half)
+    k3, ok3 = slope(x + half[:, None] * k2, t + half)
+    k4, ok4 = slope(x + dt[:, None] * k3, t + dt)
+    return x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4), ok1 & ok2 & ok3 & ok4
+
+
+def track_paths(h, starts):
+    """Track solution paths of ``h`` from t=1 down to t=0, all in lock-step.
+
+    Each path takes exactly the steps it takes alone; only the kernel and solve
+    calls are shared.  Paths reaching the endgame are polished together at t=0.
+    """
+    x = np.array(starts, dtype=complex).reshape(len(starts), len(h.unknowns))
+    for start_res in row_norms(h.evaluate(x, np.ones(len(x)))):
+        if start_res > START_TOL:
+            raise ValueError(
+                f"start point residual {start_res:.3e} exceeds tolerance {START_TOL:.3e}"
+            )
+    results = [None] * len(x)
+
+    def finish(p, xp, status, res):
+        results[p.index] = TrackResult(xp.copy(), status, float(res), p.steps, p.t)
+
+    # the step control of each path still tracking; row i of x is live[i]'s point
+    live = [SimpleNamespace(index=k, t=1.0, dt=INITIAL_STEP, run=0, steps=0)
+            for k in range(len(x))]
+    ends = []  # (path, point) for each path that reached the endgame
+    while live:
+        t = np.array([p.t for p in live])
+        dt = np.array([min(p.dt, p.t) for p in live])  # never step past t=0
+        x_new, ok = _predict_rk4(h, x, t, -dt)
+        t_new = t - dt
+        if all(ok.tolist()):
+            x_new, res, ok = _newton_correct(h, x_new, t_new, CORRECTOR_TOL, CORRECTOR_STEPS)
+        else:  # correct only the rows whose slopes were all regular
+            rows, res = np.flatnonzero(ok), np.full(len(x), np.inf)
+            x_new[rows], res[rows], ok[rows] = _newton_correct(
+                h, x_new[rows], t_new[rows], CORRECTOR_TOL, CORRECTOR_STEPS)
+        ok &= np.logical_and.reduce(np.isfinite(x_new), axis=1)
+        x = np.where(ok[:, None], x_new, x)
+        stay = []
+        for i, (p, step, accepted, t_next, norm, r) in enumerate(zip(
+                live, dt.tolist(), ok.tolist(), t_new.tolist(), row_norms(x).tolist(), res.tolist())):
+            p.dt, p.steps = step, p.steps + 1
+            if accepted:
+                p.t = t_next
+                if norm > DIVERGENCE_BOUND:
+                    finish(p, x[i], DIVERGED, r)
+                    continue
+                p.run += 1
+                if p.run >= GROWTH_AFTER:
+                    p.dt, p.run = min(p.dt * 2.0, MAX_STEP), 0
+            else:
+                p.dt, p.run = p.dt * 0.5, 0
+                if p.dt < MIN_STEP and p.t > SALVAGE_T:
+                    finish(p, x[i], STEP_FAILURE, np.linalg.norm(h.evaluate(x[i], p.t)))
+                    continue
+            # at the endgame, or stuck close to it: the endpoint polish has a go
+            if p.t <= ENDGAME_T or p.dt < MIN_STEP:
+                ends.append((p, x[i].copy()))  # not a view: x is the whole stack
+                continue
+            stay.append(i)
+        if len(stay) < len(live):
+            x, live = x[stay], [live[i] for i in stay]
+
+    # final polish at t=0
+    x = np.array([xp for _, xp in ends], dtype=complex).reshape(len(ends), x.shape[1])
+    x, res, ok = _newton_correct(h, x, np.zeros(len(ends)), CORRECTOR_TOL, POLISH_ITERS)
+    for (p, _), xp, r, converged in zip(ends, x, res.tolist(), ok.tolist()):
+        if not converged:
+            xp, r = _gauss_newton_polish(h, xp)
+        p.t, norm = 0.0, np.linalg.norm(xp)
+        if norm > DIVERGENCE_BOUND or not np.all(np.isfinite(xp)):
+            finish(p, xp, DIVERGED, r)
+        elif not converged or r > CORRECTOR_TOL * (1.0 + norm):
+            finish(p, xp, SINGULAR_ENDPOINT, r)
+        else:
+            finish(p, xp, SUCCESS, r)
+    return results
 
 
 def track_path(h, start):
-    """Track one solution path of ``h`` from t=1 down to t=0."""
-    x = np.asarray(start, dtype=complex).copy()
-    t = 1.0
-    start_res = float(np.linalg.norm(h.evaluate(x, t)))
-    if start_res > START_TOL:
-        raise ValueError(
-            f"start point residual {start_res:.3e} exceeds tolerance {START_TOL:.3e}"
-        )
-    dt = INITIAL_STEP
-    steps = 0
-    run = 0
-    while t > ENDGAME_T:
-        dt = min(dt, t - 0.0)  # never step past t=0
-        step = min(dt, t)
-        try:
-            x_pred = _predict_rk4(h, x, t, -step)
-            x_new, res, ok = _newton_correct(
-                h, x_pred, t - step, CORRECTOR_TOL, CORRECTOR_STEPS
-            )
-        except SingularMatrixError:
-            ok = False
-            x_new, res = x, np.inf
-        steps += 1
-        if ok and np.all(np.isfinite(x_new)):
-            x, t = x_new, t - step
-            if np.linalg.norm(x) > DIVERGENCE_BOUND:
-                return TrackResult(x, DIVERGED, res, steps, t)
-            run += 1
-            if run >= GROWTH_AFTER:
-                dt = min(dt * 2.0, MAX_STEP)
-                run = 0
-        else:
-            run = 0
-            dt *= 0.5
-            if dt < MIN_STEP:
-                if t <= SALVAGE_T:
-                    break  # close enough: let the endpoint polish have a go
-                res_here = float(np.linalg.norm(h.evaluate(x, t)))
-                return TrackResult(x, STEP_FAILURE, res_here, steps, t)
-
-    # final polish at t=0
-    x, res, ok = _newton_correct(h, x, 0.0, CORRECTOR_TOL, POLISH_ITERS)
-    if not ok:
-        x, res = _gauss_newton_polish(h, x)
-    if np.linalg.norm(x) > DIVERGENCE_BOUND or not np.all(np.isfinite(x)):
-        return TrackResult(x, DIVERGED, res, steps, 0.0)
-    if not ok or res > CORRECTOR_TOL * (1.0 + np.linalg.norm(x)):
-        return TrackResult(x, SINGULAR_ENDPOINT, res, steps, 0.0)
-    return TrackResult(x, SUCCESS, res, steps, 0.0)
+    """Track one solution path of ``h`` from t=1 down to t=0: a stack of one."""
+    return track_paths(h, [start])[0]
 
 
 def _gauss_newton_polish(h, x):
@@ -277,13 +323,17 @@ def solve_total_degree(sys, params=None, seed=0):
     start_sys, starts = total_degree_start(sys, seed)
     gamma = complex(unit_complex(seeded_rng(seed, 2)))
     h = linear_homotopy(sys, start_sys, gamma)
-    return [track_path(h, x) for x in starts]
+    return track_paths(h, starts)
 
 
 def parameter_homotopy(sys, p1, p0, starts):
-    """Track solutions of ``sys`` from parameters ``p1`` (t=1) to ``p0`` (t=0)."""
+    """Track solutions of ``sys`` from parameters ``p1`` (t=1) to ``p0`` (t=0).
+
+    Raises ``ValueError`` with the first bad start's residual, before any
+    path is tracked, when a start does not solve ``sys`` at ``p1``.
+    """
     h = Homotopy(sys, _square_check(sys), sys.indices(PARAMETER), p1, p0)
-    return [track_path(h, np.asarray(x, dtype=complex)) for x in starts]
+    return track_paths(h, starts)
 
 
 def newton_refine(sys, point):

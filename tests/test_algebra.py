@@ -119,6 +119,19 @@ def test_format_polynomial_is_parseable_with_complex_coefficients():
 # -- substitution ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("P", [1, 3, 0])
+def test_compiled_kernels_on_a_stack_equal_the_per_point_calls(P):
+    rng = seeded_rng(9, P)
+    compiled = PolySystem([random_poly(rng, 4) for _ in range(3)], [VARIABLE] * 4,
+                          ["a", "b", "c", "d"]).compiled
+    stack = rng.normal(size=(P, 4)) + 1j * rng.normal(size=(P, 4))
+    values, jacobians = compiled.evaluate(stack), compiled.jacobian(stack)
+    assert values.shape == (P, 3) and jacobians.shape == (P, 3, 4)
+    for point, value, jacobian in zip(stack, values, jacobians, strict=True):
+        assert value.tobytes() == compiled.evaluate(point).tobytes()
+        assert jacobian.tobytes() == compiled.jacobian(point).tobytes()
+
+
 def test_substitute_params_fixes_parameters():
     sys = parse_system("vars x; params p; poly x^2 + p*x + 2;")
     fixed = sys.substitute_params([3.0])

@@ -13,6 +13,7 @@ from nearex.numlin import (
     numerical_rank,
     singular_values,
     solve_square,
+    solve_stack,
 )
 
 
@@ -76,6 +77,54 @@ def test_solve_square_rejects_bad_shapes():
         solve_square(np.eye(2), np.ones(3))
     with pytest.raises(ValueError):
         solve_square([[1, 2], [2, 4]], 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 40])
+def test_each_row_of_a_stacked_solve_is_solve_square(n):
+    rng = seeded_rng(6, n)
+    for rhs_shape in [(n,), (n, 3)]:
+        A = random_complex(rng, 5, n, n)
+        b = random_complex(rng, 5, *rhs_shape)
+        x, ok = solve_stack(A, b)
+        assert ok.all()
+        for k in range(5):
+            assert x[k].tobytes() == solve_square(A[k], b[k]).tobytes()
+
+
+def test_stacked_solve_flags_exactly_where_solve_square_raises():
+    def triangular(last_pivot):  # as in the threshold test: the pivots are the diagonal
+        return np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, last_pivot]])
+
+    threshold = 1e-14 * np.linalg.norm(triangular(0.0))
+    rng = seeded_rng(7)
+    A = np.array([
+        random_complex(rng, 3, 3),
+        [[1, 2, 0], [2, 4, 0], [0, 0, 1]],  # singular
+        triangular(threshold * (1 + 1e-6)),
+        triangular(threshold * (1 - 1e-6)),  # pivot just below the threshold
+        np.zeros((3, 3)),
+        random_complex(rng, 3, 3),
+    ], dtype=complex)
+    b = random_complex(rng, 6, 3)
+    x, ok = solve_stack(A, b)
+    for k in range(len(A)):
+        try:
+            expected = solve_square(A[k], b[k])
+        except SingularMatrixError:
+            assert not ok[k] and not x[k].any()
+        else:
+            assert ok[k] and x[k].tobytes() == expected.tobytes()
+    assert ok.tolist() == [True, False, True, False, False, True]
+
+
+def test_solves_leave_their_inputs_alone():
+    rng = seeded_rng(8)
+    A = np.asfortranarray(random_complex(rng, 4, 4))  # a layout LAPACK could overwrite
+    b = random_complex(rng, 4)
+    A0, b0 = A.copy(), b.copy()
+    solve_square(A, b)
+    solve_stack(A[None], b[None])
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
 def test_numerical_rank_on_constructed_matrix():

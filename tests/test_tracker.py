@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from nearex.algebra import PARAMETER, VARIABLE, parse_system, seeded_rng
+from nearex.algebra import (
+    PARAMETER,
+    VARIABLE,
+    CompiledSystem,
+    parse_system,
+    seeded_rng,
+    unit_complex,
+)
 from nearex.structure import cluster_points
 from nearex.tracker import (
     Homotopy,
@@ -11,6 +18,8 @@ from nearex.tracker import (
     parameter_homotopy,
     solve_total_degree,
     total_degree_start,
+    track_path,
+    track_paths,
 )
 
 
@@ -194,12 +203,76 @@ def test_newton_corrector_evaluates_h_once_per_iterate():
     h.jacobian_x = counted("jacobian_x", h.jacobian_x)
     for max_steps in (1, 3, 30):
         calls.update(evaluate=0, jacobian_x=0)
-        x, res, ok = _newton_correct(h, np.array([0.9 + 0.1j, 0.8]), 0.5, 1e-12, max_steps)
+        x, res, ok = _newton_correct(h, np.array([[0.9 + 0.1j, 0.8]]), np.array([0.5]),
+                                     1e-12, max_steps)
         iterates = calls["jacobian_x"]  # one Jacobian per Newton step
         assert 1 <= iterates <= max_steps
         assert calls["evaluate"] == iterates + 1
         assert res == float(np.linalg.norm(evaluate(x, 0.5)))
     assert ok and res < 1e-12
+
+    # two rows that converge at different iterates: each stops at its own,
+    # bitwise where it stops alone, and the stack pays one call per iterate
+    starts, ts = np.array([[0.9 + 0.1j, 0.8], [2.0 + 1.0j, 0.3]]), np.array([0.5, 0.3])
+    alone = []
+    for start, t in zip(starts, ts):
+        calls.update(evaluate=0, jacobian_x=0)
+        alone.append(_newton_correct(h, start[None], np.array([t]), 1e-12, 30))
+        alone[-1] += (calls["jacobian_x"],)
+    assert alone[0][3] != alone[1][3]
+    calls.update(evaluate=0, jacobian_x=0)
+    x, res, ok = _newton_correct(h, starts, ts, 1e-12, 30)
+    assert calls["jacobian_x"] == max(a[3] for a in alone)
+    assert calls["evaluate"] == calls["jacobian_x"] + 1
+    for k, (xk, rk, okk, _) in enumerate(alone):
+        assert x[k].tobytes() == xk[0].tobytes()
+        assert res[k] == rk[0] and ok[k] == okk[0]
+
+
+def total_degree_homotopy(source, seed=0):
+    """The homotopy and start points that ``solve_total_degree`` tracks."""
+    sys = parse_system(source)
+    start_sys, starts = total_degree_start(sys, seed)
+    gamma = complex(unit_complex(seeded_rng(seed, 2)))
+    return linear_homotopy(sys, start_sys, gamma), starts
+
+
+def branch_point_homotopy():
+    """(x - 3)(x^2 - p) from p = 1 to p = -1: the roots ±sqrt(p) meet at
+    p = 0 and fail there, the root 3 goes through."""
+    sys = parse_system("vars x; params p; poly (x - 3)*(x^2 - p);")
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [1.0], [-1.0])
+    return h, [np.array([1.0 + 0j]), np.array([3.0 + 0j]), np.array([-1.0 + 0j])]
+
+
+@pytest.mark.parametrize("case, statuses", [
+    (lambda: total_degree_homotopy("vars x, y; poly x^2 - x; poly x*y - 1;"),
+     {"success", "singular-endpoint"}),
+    (lambda: total_degree_homotopy("vars x, y; poly x^3 - x; poly x^2*y - 1;"),
+     {"success", "diverged"}),
+    (branch_point_homotopy, {"success", "step-failure"}),
+], ids=["singular-endpoint", "diverged", "step-failure"])
+def test_lock_step_tracking_equals_one_path_at_a_time(case, statuses):
+    h, starts = case()
+    together = track_paths(h, starts)
+    alone = [track_path(h, s) for s in starts]
+    assert {r.status for r in together} == statuses
+    for a, b in zip(together, alone, strict=True):
+        assert a.endpoint.tobytes() == b.endpoint.tobytes()
+        assert (a.status, a.steps) == (b.status, b.steps)
+        assert a.residual.hex() == b.residual.hex() and a.final_t.hex() == b.final_t.hex()
+
+
+def test_bad_start_point_raises_before_any_path_is_tracked(monkeypatch):
+    sys = parse_system("vars x; params p; poly x^2 - p;")
+    starts = [np.array([2.0]), np.array([2.5]), np.array([-2.0])]  # 2.5^2 - 4 = 2.25
+
+    def untracked(self, point):
+        raise AssertionError("a path was tracked")
+
+    monkeypatch.setattr(CompiledSystem, "jacobian", untracked)
+    with pytest.raises(ValueError, match=r"start point residual 2\.250e\+00 exceeds"):
+        parameter_homotopy(sys, [4.0], [9.0], starts)
 
 
 def test_newton_refine_converges_quadratically():
