@@ -1,7 +1,8 @@
 """Dense complex linear algebra with explicit rank decisions.
 
-Thin wrappers over LAPACK (via numpy/scipy) that make the numerical-rank
-tolerance policy of the package explicit in one place.
+Wrappers over LAPACK and BLAS that make the numerical-rank tolerance policy
+of the package explicit in one place.  LAPACK is SciPy's; so is BLAS at the
+sizes OpenBLAS threads (below).
 
 Square solves call LAPACK ``zgetrf``/``zgetrs`` directly, a matrix at a time:
 bitwise what ``scipy.linalg.lu_factor``/``lu_solve`` wrap, without SciPy's
@@ -10,16 +11,31 @@ layers that cost several times the LAPACK work of the tracker's small solves
 :func:`solve_stack` flags each singular matrix of a stack; :func:`solve_square`,
 its one-matrix case, raises :class:`SingularMatrixError`.  An exactly zero
 pivot, reported in ``info`` rather than by a ``LinAlgWarning``, is singular too.
+
+Any BLAS call at a size OpenBLAS threads goes to SciPy's OpenBLAS.  NumPy and
+SciPy each load their own OpenBLAS, with its own worker pool.  After a
+threaded ``zgetrf`` (m·n ≥ 10,000) SciPy's worker is still spinning, and a
+threaded call into NumPy's pool right after it waits about 8 ms for a core
+on two cores, against tens of µs in SciPy's pool.  So :func:`row_norms` takes
+rows longer than 10,000 entries (where OpenBLAS threads ``ddot``) and
+:func:`matvec` matrices of 4,096 entries or more (where it threads
+``zgemv``) to SciPy's BLAS; smaller calls stay on NumPy, which threads none
+of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot, zgemv
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 DEFAULT_RANK_TOL = 1e-8
 _PIVOT_TOL = 1e-14
+# OpenBLAS threads a ddot of more than 10,000 entries and a zgemv of 4,096
+# matrix entries or more
+_DDOT_ONE_THREAD_MAX = 10_000
+_ZGEMV_THREADED_MIN = 4_096
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -27,8 +43,24 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 def row_norms(V):
-    """Euclidean norm of each row of ``V``: bitwise ``np.linalg.norm`` of it."""
-    return np.sqrt(np.vecdot(V.real, V.real) + np.vecdot(V.imag, V.imag))
+    """Euclidean norm of each row of ``V``: bitwise ``np.linalg.norm`` of it
+    up to 10,000 entries.  A longer row is one SciPy ``ddot`` of its real and
+    imaginary parts together, equal up to rounding."""
+    if V.shape[-1] <= _DDOT_ONE_THREAD_MAX:
+        return np.sqrt(np.vecdot(V.real, V.real) + np.vecdot(V.imag, V.imag))
+    F = np.ascontiguousarray(V, dtype=complex).view(np.float64)
+    return np.sqrt([ddot(f, f) for f in F.reshape(-1, F.shape[-1])]).reshape(V.shape[:-1])
+
+
+def matvec(J, v):
+    """``J @ v`` for one matrix or a stack, bitwise.  Each matrix of 4,096
+    entries or more is one SciPy ``zgemv``, except a one-row matrix, which
+    NumPy takes as a dot product."""
+    m, n = J.shape[-2:]
+    if m < 2 or m * n < _ZGEMV_THREADED_MIN:
+        return J @ v
+    Hv = [zgemv(1.0, Jk.T, v, trans=1) for Jk in J.reshape(-1, m, n)]
+    return np.array(Hv, dtype=complex).reshape(J.shape[:-1])
 
 
 def _solve(A, b):

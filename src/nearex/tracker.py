@@ -29,7 +29,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, lstsq, row_norms, solve_square, solve_stack
+from .numlin import SingularMatrixError, lstsq, matvec, row_norms, solve_square, solve_stack
 
 SUCCESS = "success"
 DIVERGED = "diverged"
@@ -97,7 +97,7 @@ class Homotopy:
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
         J = self.system.compiled.jacobian(self._full(x, t))
-        return J.take(self.unknowns, axis=-1), J @ self.direction
+        return J.take(self.unknowns, axis=-1), matvec(J, self.direction)
 
 
 @dataclass

@@ -9,8 +9,10 @@ from nearex.algebra import seeded_rng
 from nearex.numlin import (
     SingularMatrixError,
     lstsq,
+    matvec,
     null_space,
     numerical_rank,
+    row_norms,
     singular_values,
     solve_square,
     solve_stack,
@@ -68,6 +70,45 @@ def test_pivot_threshold_is_relative_to_the_norm():
     assert np.linalg.norm(above @ x - b) < 1e-6 * np.linalg.norm(x)
     with pytest.raises(SingularMatrixError, match="below threshold"):
         solve_square(triangular(threshold * (1 - 1e-6)), b)
+
+
+def test_pivot_threshold_holds_at_a_size_openblas_threads():
+    n = 111  # 12,321 entries: OpenBLAS threads the LU and the norm's dot product
+
+    def triangular(last_pivot):  # the pivots are the diagonal, as at 3×3
+        A = np.triu(np.ones((n, n)))
+        A[0, 0], A[-1, -1] = 2.0, last_pivot
+        return A
+
+    threshold = 1e-14 * np.linalg.norm(triangular(0.0))
+    rng = seeded_rng(9)
+    b = random_complex(rng, n)
+    above, below = triangular(threshold * (1 + 1e-6)), triangular(threshold * (1 - 1e-6))
+    x = solve_square(above, b)
+    assert np.linalg.norm(above @ x - b) < 1e-6 * np.linalg.norm(x)
+    with pytest.raises(SingularMatrixError, match="below threshold"):
+        solve_square(below, b)
+    A = np.array([random_complex(rng, n, n), above, below], dtype=complex)
+    x, ok = solve_stack(A, np.array([b, b, b]))
+    assert ok.tolist() == [True, True, False]
+    assert x[1].tobytes() == solve_square(above, b).tobytes() and not x[2].any()
+
+
+@pytest.mark.parametrize("length", [40, 10_000, 10_001, 12_321])
+def test_row_norms_match_numpy_on_both_sides_of_the_threaded_size(length):
+    V = random_complex(seeded_rng(10, length), 3, length)
+    expected = np.array([np.linalg.norm(row) for row in V])
+    if length <= 10_000:  # NumPy's own dot products: the same bits
+        assert row_norms(V).tobytes() == expected.tobytes()
+    assert row_norms(V) == pytest.approx(expected, rel=1e-14)
+    assert row_norms(V[0]) == pytest.approx(expected[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(5, 8, 10), (1, 111, 160), (2, 64, 64), (135, 200), (1, 5000)])
+def test_matvec_is_bitwise_numpy(shape):
+    rng = seeded_rng(11, *shape)
+    J, v = random_complex(rng, *shape), random_complex(rng, shape[-1])
+    assert matvec(J, v).tobytes() == (J @ v).tobytes()
 
 
 def test_solve_square_rejects_bad_shapes():

@@ -187,6 +187,39 @@ def test_total_degree_homotopy_derivative_and_endpoints():
     assert np.allclose(h.evaluate(x, 0.0), target.evaluate(x), rtol=1e-14)
 
 
+def test_h_t_is_bitwise_j_times_direction(monkeypatch):
+    import nearex.numlin as numlin
+
+    zgemv, gemvs = numlin.zgemv, []  # the shape of each matrix SciPy's BLAS takes
+
+    def counted(alpha, a, x, **kwargs):
+        gemvs.append(a.shape)
+        return zgemv(alpha, a, x, **kwargs)
+    monkeypatch.setattr(numlin, "zgemv", counted)
+
+    def check(sys, P, seed):
+        rng = seeded_rng(seed)
+        par = sys.indices(PARAMETER)
+        h = Homotopy(sys, sys.indices(VARIABLE), par,
+                     unit_complex(rng, len(par)), unit_complex(rng, len(par)))
+        x = unit_complex(rng, (P, len(h.unknowns)))
+        t = rng.uniform(size=P)
+        _, Ht = h.jacobians(x, t)
+        J = h.system.compiled.jacobian(h._full(x, t))
+        assert Ht.tobytes() == (J @ h.direction).tobytes()
+
+    n = 48  # a 48 × 96 Jacobian: OpenBLAS threads its gemv
+    polys = [f"x{i}^2 + p{i}*x{(i + 1) % n} - p{(i + 1) % n}^2*x{i} + 1" for i in range(n)]
+    large = parse_system(f"vars {', '.join(f'x{i}' for i in range(n))}; "
+                         f"params {', '.join(f'p{i}' for i in range(n))}; "
+                         + "".join(f"poly {q};" for q in polys))
+    check(large, 1, 12)
+    assert gemvs == [(96, 48)]
+    small = parse_system("vars x, y; params p, q; poly p*x^2 - q*y + 1; poly x*y - p^2 + q^3*x;")
+    check(small, 5, 13)
+    assert gemvs == [(96, 48)]
+
+
 def test_newton_corrector_evaluates_h_once_per_iterate():
     sys = parse_system("vars x, y; params p; poly x^2 + y^2 - p; poly x - y^3;")
     h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [2.0], [1.0])
