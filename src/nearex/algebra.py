@@ -10,6 +10,9 @@ parameters, as unknowns in a fiber product, or as a homotopy.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import add
+
 import numpy as np
 
 VARIABLE = "variable"
@@ -56,6 +59,17 @@ class Polynomial:
                 clean[exps] = coeff
         self.terms = clean
         self.arity = arity
+
+    @classmethod
+    def _clean(cls, terms, arity):
+        """Wrap a term map that is already canonical, without checking it:
+        int-tuple keys of length ``arity``, no negative exponent, and
+        ``complex`` values that are never zero.  The arithmetic returns
+        through here; everything else goes through ``Polynomial(...)``."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        poly.arity = arity
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -106,12 +120,12 @@ class Polynomial:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
         _add_terms(out, other.terms.items())
-        return Polynomial(out, self.arity)
+        return Polynomial._clean(out, self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.arity)
+        return Polynomial._clean({e: -c for e, c in self.terms.items()}, self.arity)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -124,19 +138,20 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             other = complex(other)
-            return Polynomial({e: c * other for e, c in self.terms.items()}, self.arity)
+            scaled = ((e, c * other) for e, c in self.terms.items())
+            return Polynomial._clean({e: c for e, c in scaled if c != 0}, self.arity)
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return Polynomial(out, self.arity)
+        return Polynomial._clean(out, self.arity)
 
     __rmul__ = __mul__
 
@@ -165,7 +180,7 @@ class Polynomial:
             de = list(e)
             de[index] = k - 1
             out[tuple(de)] = c * k
-        return Polynomial(out, self.arity)
+        return Polynomial._clean(out, self.arity)
 
     def evaluate(self, point):
         point = np.asarray(point, dtype=complex)
@@ -183,8 +198,13 @@ class Polynomial:
     def remap(self, new_arity, index_map):
         """Embed into a larger (or reordered) indeterminate list.
 
-        ``index_map[i]`` is the new index of old indeterminate ``i``.
+        ``index_map[i]`` is the new index of old indeterminate ``i``; pass
+        ``range(self.arity)`` to append indeterminates, the fast case.
         """
+        if isinstance(index_map, range) and index_map == range(self.arity):
+            pad = (0,) * (new_arity - self.arity)
+            # 0 + c, as below: it turns an imaginary part of -0.0 into +0.0
+            return Polynomial._clean({e + pad: 0 + c for e, c in self.terms.items()}, new_arity)
         out = {}
         for e, c in self.terms.items():
             ne = [0] * new_arity
@@ -193,7 +213,8 @@ class Polynomial:
                     ne[index_map[i]] += k
             key = tuple(ne)
             out[key] = out.get(key, 0) + c
-        return Polynomial(out, new_arity)
+        # a map that is not injective can merge terms that cancel
+        return Polynomial._clean({e: c for e, c in out.items() if c != 0}, new_arity)
 
     def substitute(self, values):
         """Partially evaluate: ``values`` maps indeterminate index -> complex.
@@ -213,7 +234,7 @@ class Polynomial:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return Polynomial(out, len(keep))
+        return Polynomial._clean(out, len(keep))
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
@@ -260,49 +281,41 @@ class CompiledSystem:
     def __init__(self, polynomials, arity):
         self.arity = arity
         self.n_eqs = len(polynomials)
-        rows, coeffs, fvar, fexp, fterm = [], [], [], [], []
-        t = 0
-        for r, poly in enumerate(polynomials):
-            for e, c in poly.terms.items():
-                rows.append(r)
-                coeffs.append(c)
-                for i, k in enumerate(e):
-                    if k:
-                        fvar.append(i)
-                        fexp.append(k)
-                        fterm.append(t)
-                t += 1
+        counts = [len(poly.terms) for poly in polynomials]
+        n_terms = sum(counts)
+        keys = chain.from_iterable(poly.terms for poly in polynomials)
+        exps = np.fromiter(chain.from_iterable(keys), dtype=np.intp,
+                           count=n_terms * arity).reshape(n_terms, arity)
+        # a factor is a nonzero exponent: term by term, indeterminates in order
+        fterm, fvar = np.nonzero(exps)
+        fexp = exps[fterm, fvar]
+        coeffs = np.fromiter((c for poly in polynomials for c in poly.terms.values()),
+                             dtype=complex, count=n_terms)
         # per-point arrays are rows, for numpy's same-shape fast path at one point
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.coeffs = np.asarray(coeffs, dtype=complex)[None]
-        self.fvar = np.asarray(fvar, dtype=np.intp)
-        self.fexp = np.asarray(fexp, dtype=complex)[None]  # power casts exponents to complex
-        self.fterm = np.asarray(fterm, dtype=np.intp)
+        self.rows = np.repeat(np.arange(self.n_eqs, dtype=np.intp), counts)
+        self.coeffs = coeffs[None]
+        self.fvar = fvar
+        self.fexp = fexp.astype(complex)[None]  # power casts exponents to complex
+        self.fterm = fterm
 
-        jrow, jcol, jcoeff, jfvar, jfexp, jfterm = [], [], [], [], [], []
-        jt = 0
-        for r, poly in enumerate(polynomials):
-            for e, c in poly.terms.items():
-                for i, k in enumerate(e):
-                    if not k:
-                        continue
-                    jrow.append(r)
-                    jcol.append(i)
-                    jcoeff.append(c * k)
-                    for i2, k2 in enumerate(e):
-                        k2 = k2 - 1 if i2 == i else k2
-                        if k2:
-                            jfvar.append(i2)
-                            jfexp.append(k2)
-                            jfterm.append(jt)
-                    jt += 1
-        self.jentry = np.asarray(jrow, dtype=np.intp) * arity + np.asarray(jcol, dtype=np.intp)
-        self.jcoeff = np.asarray(jcoeff, dtype=complex)[None]
-        self.jfvar = np.asarray(jfvar, dtype=np.intp)
-        self.jfexp = np.asarray(jfexp, dtype=complex)[None]
-        self.jfterm = np.asarray(jfterm, dtype=np.intp)
+        # one Jacobian term per factor f: f's term differentiated in f's
+        # indeterminate, whose factors are the term's with f lowered by one
+        n_factors = np.bincount(fterm, minlength=n_terms)
+        reps = n_factors[fterm]
+        jt = np.repeat(np.arange(len(fterm), dtype=np.intp), reps)
+        # Jacobian term jt[i] takes factor[i]: its term's factors, in order
+        first = np.cumsum(n_factors) - n_factors
+        offsets = np.cumsum(reps) - reps
+        factor = np.repeat(first[fterm] - offsets, reps) + np.arange(len(jt))
+        jexp = fexp[factor] - (factor == jt)
+        kept = jexp != 0
+        self.jentry = self.rows[fterm] * arity + fvar
+        self.jcoeff = (coeffs[fterm] * self.fexp[0])[None]
+        self.jfvar = fvar[factor[kept]]
+        self.jfexp = jexp[kept].astype(complex)[None]
+        self.jfterm = jt[kept]
 
-        self.coefficient_norm = float(np.linalg.norm(self.coeffs)) if t else 0.0
+        self.coefficient_norm = float(np.linalg.norm(self.coeffs))
 
     def evaluate(self, point):
         """Values at one point, or at each row of a ``(P, arity)`` stack."""

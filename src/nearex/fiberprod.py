@@ -157,7 +157,7 @@ def move_to_slice(detection, points, new_coeffs):
         return [np.asarray(p, dtype=complex) for p in points]
     new_coeffs = np.asarray(new_coeffs, dtype=complex).reshape(D, n + 1)
     arity = n + D * (n + 1)
-    polys = [p.remap(arity, list(range(n))) for p in sliced.polynomials[:-D]]
+    polys = [p.remap(arity, range(n)) for p in sliced.polynomials[:-D]]
     for r in range(D):
         # Σ_i c_ri·x_i + c_rn with the coefficients c_r as indeterminates
         terms = []

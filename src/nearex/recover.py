@@ -80,7 +80,7 @@ def build_lagrange(F, patch_seed=0):
     arity = n_primal + M + 1
     roles = list(base.roles) + [AUXILIARY] * (M + 1)
     names = list(base.names) + [f"mult{j}" for j in range(M + 1)]
-    imap = list(range(n_primal))
+    imap = range(n_primal)
     polys = [p.remap(arity, imap) for p in base.polynomials]
 
     lam = [Polynomial.variable(n_primal + j, arity) for j in range(M + 1)]

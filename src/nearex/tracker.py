@@ -277,7 +277,7 @@ def linear_homotopy(target, start_sys, gamma):
     arity = target.arity
     a = Polynomial.variable(arity, arity + 2)
     b = Polynomial.variable(arity + 1, arity + 2)
-    embed = list(range(arity))
+    embed = range(arity)
     polys = [
         a * F.remap(arity + 2, embed) + b * G.remap(arity + 2, embed)
         for F, G in zip(target.polynomials, start_sys.polynomials)

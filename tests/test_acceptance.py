@@ -225,7 +225,7 @@ def _run_study(fixture, exceptional_residual):
     def run_one(p_hat, seed):
         return dataclasses.replace(prob, p_hat=tuple(p_hat)).run(seed=seed).result
 
-    rows = sample_study(run_one, np.array(prob.p_tilde, float), 0.1, 500, 0)
+    rows = sample_study(run_one, np.real(prob.p_tilde), 0.1, 500, 0)
     ok = [r for r in rows if str(r["status"]).startswith("recovered")]
     rate = len(ok) / len(rows)
     chi2 = float(np.mean([r["chi2stat"] for r in ok]))

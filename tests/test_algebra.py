@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nearex.algebra import (
     AUXILIARY,
     PARAMETER,
+    CompiledSystem,
     ParseError,
     Polynomial,
     PolySystem,
@@ -17,6 +18,11 @@ from nearex.algebra import (
     seeded_rng,
     unit_complex,
 )
+from nearex.fiberprod import build_witness_condition, stabilize
+from nearex.fixtures import FIXTURE_DIR, load
+from nearex.problem import ProblemFile
+from nearex.recover import build_lagrange
+from nearex.structure import witness_superset
 
 
 def random_poly(rng, arity, max_deg=3, n_terms=5):
@@ -60,6 +66,95 @@ def test_diff_matches_finite_differences():
             e[a] = h
             fd = (p.evaluate(x + e) - p.evaluate(x - e)) / (2 * h)
             assert p.diff(a).evaluate(x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def assert_canonical(p):
+    """Terms as the validating constructor leaves them: int-tuple keys of the
+    polynomial's arity, no negative exponent, nonzero complex values."""
+    assert list(p.terms.items()) == list(Polynomial(dict(p.terms), p.arity).terms.items())
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == p.arity
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is complex and c != 0
+
+
+# small integer coefficients, so sums, products and merged terms often cancel
+COEFFS = st.sampled_from([1, -1, 2, -2, 0.5, 1j, -1j, 1 + 1j])
+
+
+@st.composite
+def polynomials(draw, arity):
+    exps = st.tuples(*[st.integers(0, 2)] * arity)
+    return Polynomial(draw(st.dictionaries(exps, COEFFS, max_size=6)), arity)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    arity = draw(st.integers(0, 3))
+    return draw(polynomials(arity)), draw(polynomials(arity))
+
+
+# off every coordinate hyperplane, for pointwise checks
+POINT = np.array([0.7 + 0.2j, -1.1 + 0.5j, 0.3 - 0.9j, 1.3 + 0.4j, -0.6 - 0.8j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_pairs(), st.sampled_from([0, 0.0, 2, -1.5, 1j, 5e-324]), st.data())
+def test_arithmetic_is_canonical_and_agrees_pointwise(pair, scalar, data):
+    """Every operation that skips validation keeps exactly the terms the
+    validating constructor would, and takes the value it should at a point
+    (5e-324 times a coefficient of modulus below one underflows to zero)."""
+    a, b = pair
+    n = a.arity
+    x = POINT[:n]
+    va, vb = a.evaluate(x), b.evaluate(x)
+    k = data.draw(st.integers(0, 3))
+    cases = [(a + b, x, va + vb), (a - b, x, va - vb), (-a, x, -va),
+             (a + scalar, x, va + scalar), (scalar - a, x, scalar - va),
+             (a * scalar, x, va * scalar), (scalar * a, x, scalar * va),
+             (a * b, x, va * vb), (a ** k, x, va ** k)]
+    if n:
+        # the values of diff are checked by test_diff_matches_finite_differences
+        cases.append((a.diff(data.draw(st.integers(0, n - 1))), x, None))
+        fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        values = {i: data.draw(st.sampled_from([0.0, 1.0, -2.0, 1j])) for i in fixed}
+        at = x.copy()
+        at[fixed] = [values[i] for i in fixed]
+        cases.append((a.substitute(values), np.delete(x, fixed), a.evaluate(at)))
+    # any map, injective or not, and the one that appends indeterminates
+    new_arity = data.draw(st.integers(max(n, 1), n + 2))
+    index_map = data.draw(st.lists(st.integers(0, new_arity - 1), min_size=n, max_size=n))
+    y = POINT[:new_arity]
+    cases.append((a.remap(new_arity, index_map), y, a.evaluate(y[index_map])))
+    cases.append((a.remap(n + 2, range(n)), POINT[:n + 2], va))
+    for poly, point, value in cases:
+        assert_canonical(poly)
+        if value is not None:
+            assert poly.evaluate(point) == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def test_remap_drops_terms_that_cancel_when_merged():
+    p = Polynomial({(1, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 1): 2.0}, 3)
+    q = p.remap(2, [0, 0, 1])
+    assert q.terms == {(0, 1): 2.0}
+    assert_canonical(q)
+    assert (p * 0).is_zero() and (0.0 * p).is_zero()
+
+
+def test_appending_remap_equals_the_general_map_bit_for_bit():
+    p = -Polynomial({(1, 0): 1.0, (0, 2): 2.5 - 0.5j}, 2)  # -x has coefficient -1-0j
+    fast, general = p.remap(4, range(2)), p.remap(4, [0, 1])
+    assert list(fast.terms) == list(general.terms)
+    coeffs = [np.array(list(q.terms.values())).tobytes() for q in (fast, general)]
+    assert coeffs[0] == coeffs[1]
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="length"):
+        Polynomial({(1, 0): 1.0}, 3)
+    with pytest.raises(ValueError, match="negative"):
+        Polynomial({(1, -1): 1.0}, 2)
+    assert Polynomial([((1, 0), 1.0), ((1, 0), -1.0)], 2).is_zero()
 
 
 def test_degree_and_restricted_degree():
@@ -116,7 +211,95 @@ def test_format_polynomial_is_parseable_with_complex_coefficients():
     assert parse_system(src).polynomials[0] == p
 
 
-# -- substitution ------------------------------------------------------------
+# -- compiled arrays ---------------------------------------------------------
+
+COMPILED_ARRAYS = ("rows", "coeffs", "fvar", "fexp", "fterm",
+                   "jentry", "jcoeff", "jfvar", "jfexp", "jfterm")
+
+
+def reference_arrays(polynomials, arity):
+    """The compiled arrays built term by term and exponent by exponent."""
+    rows, coeffs, fvar, fexp, fterm = [], [], [], [], []
+    t = 0
+    for r, poly in enumerate(polynomials):
+        for e, c in poly.terms.items():
+            rows.append(r)
+            coeffs.append(c)
+            for i, k in enumerate(e):
+                if k:
+                    fvar.append(i)
+                    fexp.append(k)
+                    fterm.append(t)
+            t += 1
+    jrow, jcol, jcoeff, jfvar, jfexp, jfterm = [], [], [], [], [], []
+    jt = 0
+    for r, poly in enumerate(polynomials):
+        for e, c in poly.terms.items():
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                jrow.append(r)
+                jcol.append(i)
+                jcoeff.append(c * k)
+                for i2, k2 in enumerate(e):
+                    k2 = k2 - 1 if i2 == i else k2
+                    if k2:
+                        jfvar.append(i2)
+                        jfexp.append(k2)
+                        jfterm.append(jt)
+                jt += 1
+    index = lambda values: np.asarray(values, dtype=np.intp)  # noqa: E731
+    row = lambda values: np.asarray(values, dtype=complex)[None]  # noqa: E731
+    return {
+        "rows": index(rows), "coeffs": row(coeffs), "fvar": index(fvar),
+        "fexp": row(fexp), "fterm": index(fterm),
+        "jentry": index(jrow) * arity + index(jcol), "jcoeff": row(jcoeff),
+        "jfvar": index(jfvar), "jfexp": row(jfexp), "jfterm": index(jfterm),
+    }
+
+
+def assert_compiles_like_reference(polynomials, arity):
+    compiled = CompiledSystem(polynomials, arity)
+    for name, want in reference_arrays(polynomials, arity).items():
+        got = getattr(compiled, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_compiled_arrays_equal_the_term_loop_on_fixtures(path):
+    sys = ProblemFile.load(path).build_system()
+    assert_compiles_like_reference(sys.polynomials, sys.arity)
+
+
+def test_compiled_arrays_equal_the_term_loop_on_fiber_product_and_lagrange():
+    f, _, p_hat, _ = load("posdim")
+    p_hat = np.asarray(p_hat, dtype=complex)
+    ws = witness_superset(f, p_hat, 1, seed=0)
+    cand = min((cp for cp in ws.points if np.all(np.isfinite(cp.point))),
+               key=lambda cp: cp.residual_full_system)
+
+    def builder(i, _, seed):
+        return build_witness_condition(f, 1, [cand], seed=seed, detection=ws)
+
+    F = stabilize(builder, range(2), ["p1", "p2"], p_hat).fiber_product
+    for sys in (F.full_system, build_lagrange(F, patch_seed=0).system):
+        assert_compiles_like_reference(sys.polynomials, sys.arity)
+
+
+def test_compiled_arrays_equal_the_term_loop_on_edge_cases():
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    constant = parse_system("vars x; poly x^2 + 3*x - 1;").substitute({0: 2.0})
+    assert constant.arity == 0
+    cases = [
+        ([], 3),  # no polynomials
+        ([Polynomial.zero(3), x * y], 3),
+        ([Polynomial.constant(2.0, 3), Polynomial.constant(-1j, 3)], 3),
+        (constant.polynomials, 0),
+        ([x + 2.0 * y * z ** 3, (x - y) ** 2], 3),  # x's Jacobian term has no factors
+    ]
+    for polys, arity in cases:
+        assert_compiles_like_reference(polys, arity)
 
 
 @pytest.mark.parametrize("P", [1, 3, 0])
@@ -130,6 +313,9 @@ def test_compiled_kernels_on_a_stack_equal_the_per_point_calls(P):
     for point, value, jacobian in zip(stack, values, jacobians, strict=True):
         assert value.tobytes() == compiled.evaluate(point).tobytes()
         assert jacobian.tobytes() == compiled.jacobian(point).tobytes()
+
+
+# -- substitution ------------------------------------------------------------
 
 
 def test_substitute_params_fixes_parameters():
