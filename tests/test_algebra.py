@@ -248,14 +248,12 @@ def reference_arrays(polynomials, arity):
                         jfexp.append(k2)
                         jfterm.append(jt)
                 jt += 1
-    index = lambda values: np.asarray(values, dtype=np.intp)  # noqa: E731
-    row = lambda values: np.asarray(values, dtype=complex)[None]  # noqa: E731
-    return {
-        "rows": index(rows), "coeffs": row(coeffs), "fvar": index(fvar),
-        "fexp": row(fexp), "fterm": index(fterm),
-        "jentry": index(jrow) * arity + index(jcol), "jcoeff": row(jcoeff),
-        "jfvar": index(jfvar), "jfexp": row(jfexp), "jfterm": index(jfterm),
-    }
+    index = {"rows": rows, "fvar": fvar, "fterm": fterm, "jfvar": jfvar, "jfterm": jfterm}
+    row = {"coeffs": coeffs, "fexp": fexp, "jcoeff": jcoeff, "jfexp": jfexp}
+    out = {name: np.asarray(v, dtype=np.intp) for name, v in index.items()}
+    out.update({name: np.asarray(v, dtype=complex)[None] for name, v in row.items()})
+    out["jentry"] = np.asarray(jrow, dtype=np.intp) * arity + np.asarray(jcol, dtype=np.intp)
+    return out
 
 
 def assert_compiles_like_reference(polynomials, arity):
