@@ -40,9 +40,8 @@ def run_fixture(name):
     res = out.result
     print(f"{name}: {res.status} ({dt:.1f} s)"
           + ("" if out.validated else "  [NOT VALIDATED]"))
-    if out.stabilization is not None:
-        print(f"  image dims : {out.stabilization.dims}")
-        print(f"  sizes      : {out.stabilization.sizes}")
+    print(f"  image dims : {out.stabilization.dims}")
+    print(f"  sizes      : {out.stabilization.sizes}")
     p = np.real(res.p_star)
     with np.printoptions(precision=6, suppress=True):
         print(f"  p*         : {p}")

@@ -42,7 +42,8 @@ def _add_common_flags(sub):
                      help="numerical rank tolerance for stabilization")
     sub.add_argument("--tol-infinity", type=float, default=None,
                      help="relative magnitude below which a homogenizing "
-                          "coordinate counts as at infinity")
+                          "coordinate counts as at infinity (infinity "
+                          "problems only)")
     sub.add_argument("--max-components", type=int, default=None,
                      help="fix the number of component systems to stack "
                           "(not for infinity problems)")
@@ -125,10 +126,9 @@ def _run_report(prob, outcome):
         "problem": prob.name,
         "structure": outcome.structure,
         "validated": outcome.validated,
+        "dimension_sequence": list(stab.dims),
+        "system_sizes": list(stab.sizes),
     }
-    if stab is not None:
-        extra["dimension_sequence"] = list(stab.dims)
-        extra["system_sizes"] = list(stab.sizes)
     return report(outcome.result, fiber=outcome.fiber, extra=extra)
 
 

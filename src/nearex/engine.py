@@ -12,6 +12,10 @@ One pipeline per structure kind:
 * :func:`recover_multiplicity` — impose a rank-deficient Jacobian of the
   sliced system (local Hilbert function prefix (1, 1), multiplicity two).
 
+Every pipeline stabilizes a fiber product, even of one condition, then
+descends and validates through one shared tail; pipelines with several
+candidates keep the first validated outcome, else the last.
+
 Validation re-runs the detection at the recovered parameters with thresholds
 100× tighter than detection and reports pass/fail alongside the result.  It
 also checks that the recovered point is real when p̂ is (relative ‖Im p*‖ at
@@ -30,14 +34,12 @@ import numpy as np
 
 from .algebra import (
     AUXILIARY,
-    PARAMETER,
     VARIABLE,
     homogenize,
     seeded_rng,
     unit_complex,
 )
 from .fiberprod import (
-    FiberProductSystem,
     StabilizeResult,
     build_hilbert_condition,
     build_infinity_condition,
@@ -76,8 +78,7 @@ class StructureNotFoundError(RuntimeError):
 class RunOutcome:
     structure: str
     result: RecoveryResult
-    fiber: FiberProductSystem
-    stabilization: StabilizeResult  # None when one condition was imposed unstabilized
+    stabilization: StabilizeResult
     points: list  # the classified detection points (ClassifiedPoint)
 
     def __post_init__(self):
@@ -90,6 +91,10 @@ class RunOutcome:
             }
             self.result = replace(self.result, status="not-validated",
                                   validation=validation)
+
+    @property
+    def fiber(self):
+        return self.stabilization.fiber_product
 
     @property
     def validated(self):
@@ -105,6 +110,41 @@ def _check_real(validation, p_hat, p_star):
     if not np.any(np.imag(p_hat)):
         validation["passed"] = bool(validation["passed"] and imag <= TIGHT_TOL)
     return validation
+
+
+def _stabilize_copies(builder, p_hat, seed, n_trials, rank_tol):
+    """Stabilize repeated copies of one condition.  A pinned ``n_trials`` is
+    scanned in full; by default the scan stops at the first plateau, after at
+    most one copy per parameter plus one."""
+    if n_trials is None:
+        trials, plateau = range(len(p_hat) + 1), True
+    else:
+        trials, plateau = range(n_trials), False
+    return stabilize(builder, trials, p_hat, seed=seed, stop_on_plateau=plateau,
+                     cumulative=True, tol=rank_tol)
+
+
+def _descend_and_validate(structure, stab, points, patch_seed, validate, *args):
+    """Descend from the stabilized fiber product and validate the endpoint:
+    ``validate(res, fiber, *args)`` returns the validation dict, or None when
+    it cannot judge the status the descent ended with."""
+    fiber = stab.fiber_product
+    res = descend(build_lagrange(fiber, patch_seed=patch_seed))
+    res.validation = validate(res, fiber, *args)
+    return RunOutcome(structure=structure, result=res, stabilization=stab,
+                      points=points)
+
+
+def _first_validated(outcomes, none_tried):
+    """The first outcome that validates, else the last one tried."""
+    last = None
+    for out in outcomes:
+        if out.validated:
+            return out
+        last = out
+    if last is None:
+        raise StructureNotFoundError(none_tried)
+    return last
 
 
 def _dedupe(points):
@@ -126,16 +166,6 @@ def _converged(results):
     return [r for r in results if r.success or r.status == SINGULAR_ENDPOINT]
 
 
-def _infinity_counts(endpoints, positions, tol):
-    counts = [0] * len(positions)
-    for x in endpoints:
-        norm = max(np.linalg.norm(x), 1e-300)
-        for g, hi in enumerate(positions):
-            if abs(x[hi]) / norm < tol:
-                counts[g] += 1
-    return counts
-
-
 def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_TOL,
                      rank_tol=None):
     """Detect near-infinity solutions and push them onto infinity exactly.
@@ -144,7 +174,6 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
     default is one group of all variables.
     """
     p_hat = np.asarray(p_hat, dtype=complex)
-    param_names = [f.names[i] for i in f.indices(PARAMETER)]
     if groups is None:
         groups = [f.indices(VARIABLE)]
     else:
@@ -189,48 +218,35 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
         )
         groups_of.append(g)
 
-    def builder(i, cand, s):
-        g, cp = cand
-        return build_infinity_condition(hom, hom_indices, g, cp)
+    def builder(cand, s):
+        return build_infinity_condition(hom, hom_indices, *cand)
 
     candidates = sorted(
         zip(groups_of, suspects),
         key=lambda it: it[1].homogenizing_magnitudes[it[0]],
     )
-    stab = None
-    if len(candidates) == 1:
-        fiber = FiberProductSystem(
-            [builder(0, candidates[0], seed)], param_names, p_hat
-        )
-    else:
-        stab = stabilize(
-            builder, candidates, param_names, p_hat, seed=seed,
-            stop_on_plateau=False,
-            tol=rank_tol,
-        )
-        fiber = stab.fiber_product
-    counts_hat = _infinity_counts(
-        [r.endpoint for r in good], positions, infinity_tol / VALIDATION_TIGHTENING
+    stab = stabilize(
+        builder, candidates, p_hat, seed=seed, stop_on_plateau=False, tol=rank_tol,
     )
-
-    G = build_lagrange(fiber, patch_seed=seed)
-    res = descend(G)
-    if res.success:
-        res.validation = _validate_infinity(
-            hom, fiber, res, positions, counts_hat, seed,
-            infinity_tol / VALIDATION_TIGHTENING,
-        )
-    return RunOutcome(
-        structure="infinity", result=res, fiber=fiber, stabilization=stab,
-        points=points,
+    return _descend_and_validate(
+        "infinity", stab, points, seed, _validate_infinity, hom, positions, good,
+        seed, infinity_tol / VALIDATION_TIGHTENING,
     )
 
 
-def _validate_infinity(hom, fiber, res, positions, counts_hat, seed, tight_tol):
-    p_star = res.p_star
-    results = solve_total_degree(hom.substitute_params(p_star), seed=seed + 1)
-    endpoints = [r.endpoint for r in _converged(results)]
-    counts_star = _infinity_counts(endpoints, positions, tight_tol)
+def _validate_infinity(res, fiber, hom, positions, results_hat, seed, tight_tol):
+    if not res.success:
+        return None
+
+    def at_infinity(results):
+        # near-infinity endpoints per group at the tightened threshold
+        pts = classify_infinity([ClassifiedPoint(point=r.endpoint) for r in results],
+                                positions, tight_tol)
+        return [sum(cp.is_near_infinity(g) for cp in pts) for g in range(len(positions))]
+
+    counts_hat = at_infinity(results_hat)
+    results = solve_total_degree(hom.substitute_params(res.p_star), seed=seed + 1)
+    counts_star = at_infinity(_converged(results))
     imposed = [0] * len(positions)
     for comp in fiber.components:
         imposed[comp.group] += 1
@@ -243,7 +259,7 @@ def _validate_infinity(hom, fiber, res, positions, counts_hat, seed, tight_tol):
         "at_infinity_after": counts_star,
         "imposed": imposed,
         "threshold": tight_tol,
-    }, fiber.p_hat, p_star)
+    }, fiber.p_hat, res.p_star)
 
 
 # -- positive-dimensional components ----------------------------------------
@@ -266,7 +282,6 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
                          rank_tol=None):
     """Impose that degree_d witness points of a D-dimensional set are exact."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    param_names = [f.names[i] for i in f.indices(PARAMETER)]
     ws = witness_superset(f, p_hat, dim_D, seed=seed)
     candidates = _witness_candidates(ws)
     if len(candidates) < degree_d:
@@ -274,50 +289,35 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
             f"found {len(candidates)} candidate witness points, need {degree_d}"
         )
 
-    last = None
-    for attempt in range(3):  # a failed descent retries with fresh slices
-        for shift in range(len(candidates) - degree_d + 1):
-            chosen = candidates[shift: shift + degree_d]
-            s0 = seed + 97 * shift + 1013 * attempt
+    def outcomes():
+        for attempt in range(3):  # a failed descent retries with fresh slices
+            for shift in range(len(candidates) - degree_d + 1):
+                chosen = candidates[shift: shift + degree_d]
+                s0 = seed + 97 * shift + 1013 * attempt
 
-            def builder(i, cand, s):
-                return build_witness_condition(f, dim_D, chosen, ws, seed=s)
+                def builder(trial, s):
+                    return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
-            if n_trials is not None:
-                trials, plateau = range(n_trials), False
-            else:
-                trials, plateau = range(len(param_names) + 1), True
-            try:
-                stab = stabilize(
-                    builder, trials, param_names, p_hat, seed=s0,
-                    stop_on_plateau=plateau, cumulative=True,
-                    tol=rank_tol,
+                try:
+                    stab = _stabilize_copies(builder, p_hat, s0, n_trials, rank_tol)
+                except (RuntimeError, SingularMatrixError):
+                    continue
+                yield _descend_and_validate(
+                    "positive_dim", stab, ws.points, s0, _validate_positive_dim,
+                    f, dim_D, degree_d, seed,
                 )
-            except (RuntimeError, SingularMatrixError):
-                continue
-            G = build_lagrange(stab.fiber_product, patch_seed=s0)
-            res = descend(G)
-            # a positive-dimensional witness recovery ends at a regular point
-            # of the critical system; a salvaged singular endpoint means the
-            # path strayed onto a branch of the parameter projection
-            if res.status == "recovered":
-                res.validation = _validate_positive_dim(f, p_hat, res, dim_D,
-                                                        degree_d, seed)
-            out = RunOutcome(
-                structure="positive_dim", result=res, fiber=stab.fiber_product,
-                stabilization=stab, points=ws.points,
-            )
-            if out.validated:
-                return out
-            last = out
-    if last is None:
-        raise StructureNotFoundError(
-            "no candidate witness subset produced a stabilizing condition"
-        )
-    return last
+
+    return _first_validated(
+        outcomes(), "no candidate witness subset produced a stabilizing condition"
+    )
 
 
-def _validate_positive_dim(f, p_hat, res, dim_D, degree_d, seed):
+def _validate_positive_dim(res, fiber, f, dim_D, degree_d, seed):
+    # a positive-dimensional witness recovery ends at a regular point of the
+    # critical system; a salvaged singular endpoint means the path strayed
+    # onto a branch of the parameter projection
+    if res.status != "recovered":
+        return None
     ws = witness_superset(f, res.p_star, dim_D, seed=seed)
     residuals = sorted(
         cp.residual_full_system for cp in ws.points if np.isfinite(cp.residual_full_system)
@@ -329,7 +329,7 @@ def _validate_positive_dim(f, p_hat, res, dim_D, degree_d, seed):
         "required": degree_d,
         "best_residuals": residuals[: degree_d + 1],
         "threshold": TIGHT_TOL,
-    }, p_hat, res.p_star)
+    }, fiber.p_hat, res.p_star)
 
 
 # -- trace test / factorization ---------------------------------------------
@@ -339,7 +339,6 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
                    rank_tol=None):
     """Impose a vanishing second-derivative trace over a witness subset."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    param_names = [f.names[i] for i in f.indices(PARAMETER)]
     var = f.indices(VARIABLE, AUXILIARY)
     n = len(var)
     if len(f.polynomials) != n - dim_D:
@@ -369,34 +368,24 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
         )
     subset_pts = [wpts[j] for j in best_subset]
 
-    def builder(i, cand, s):
+    def builder(trial, s):
         return build_trace_condition(f, dim_D, subset_pts, p_hat, seed=s, detection=ws)
 
-    if n_trials is not None:
-        trials, plateau = range(n_trials), False
-    else:
-        trials, plateau = range(len(param_names) + 1), True
-    stab = stabilize(
-        builder, trials, param_names, p_hat, seed=seed,
-        stop_on_plateau=plateau, cumulative=True,
-        tol=rank_tol,
-    )
-    G = build_lagrange(stab.fiber_product, patch_seed=seed)
-    res = descend(G)
-    if res.status == "recovered":
-        res.validation = _validate_factor(f, p_hat, res, ws, wpts, best_subset, dim_D, seed)
-    return RunOutcome(
-        structure="factor", result=res, fiber=stab.fiber_product,
-        stabilization=stab, points=ws.points,
+    stab = _stabilize_copies(builder, p_hat, seed, n_trials, rank_tol)
+    return _descend_and_validate(
+        "factor", stab, ws.points, seed, _validate_factor,
+        f, ws, wpts, best_subset, dim_D, seed,
     )
 
 
-def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed):
+def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
+    if res.status != "recovered":
+        return None
     n = len(f.indices(VARIABLE, AUXILIARY))
     sliced_param = ws.parameterized
-    tracked = parameter_homotopy(sliced_param, p_hat, res.p_star, wpts)
+    tracked = parameter_homotopy(sliced_param, fiber.p_hat, res.p_star, wpts)
     if not all(r.success for r in tracked):
         return {"passed": False, "error": "witness tracking to p_star failed"}
     moved = [r.endpoint for r in tracked]
@@ -411,7 +400,7 @@ def _validate_factor(f, p_hat, res, ws, wpts, subset, dim_D, seed):
         "scale": scale,
         "threshold": tight,
         "subset": list(subset),
-    }, p_hat, res.p_star)
+    }, fiber.p_hat, res.p_star)
 
 
 # -- multiplicity ------------------------------------------------------------
@@ -421,45 +410,33 @@ def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
                          rank_tol=None):
     """Impose a multiplicity-two component via a rank-deficient Jacobian."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    param_names = [f.names[i] for i in f.indices(PARAMETER)]
-    last = None
-    for attempt in range(2):  # a detection none of whose candidates validates is redrawn
-        s0 = seed + 1013 * attempt
-        ws = witness_superset(f, p_hat, dim_D, seed=s0)
-        sliced_param = ws.parameterized
-        # candidates ordered by how nearly the original system vanishes; the
-        # persistence check in validation rejects wrong picks, so this order
-        # only decides how many descents are attempted
-        scored = [cp for cp in ws.points if np.all(np.isfinite(cp.point))]
-        scored.sort(key=lambda cp: cp.residual_full_system)
-        for cand in scored:
-            def builder(i, c, s):
-                return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
 
-            stab = stabilize(
-                builder, range(n_trials), param_names, p_hat, seed=s0,
-                stop_on_plateau=False, cumulative=True,
-                tol=rank_tol,
-            )
-            G = build_lagrange(stab.fiber_product, patch_seed=s0)
-            res = descend(G)
-            if res.status == "recovered":
-                res.validation = _validate_multiplicity(
-                    f, sliced_param, res, prefix, stab.fiber_product, dim_D, seed
+    def outcomes():
+        for attempt in range(2):  # a detection none of whose candidates validates is redrawn
+            s0 = seed + 1013 * attempt
+            ws = witness_superset(f, p_hat, dim_D, seed=s0)
+            sliced_param = ws.parameterized
+            # candidates ordered by how nearly the original system vanishes;
+            # the persistence check in validation rejects wrong picks, so
+            # this order only decides how many descents are attempted
+            scored = [cp for cp in ws.points if np.all(np.isfinite(cp.point))]
+            scored.sort(key=lambda cp: cp.residual_full_system)
+            for cand in scored:
+                def builder(trial, s):
+                    return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
+
+                stab = _stabilize_copies(builder, p_hat, s0, n_trials, rank_tol)
+                yield _descend_and_validate(
+                    "multiplicity", stab, ws.points, s0, _validate_multiplicity,
+                    f, sliced_param, prefix, dim_D, seed,
                 )
-            out = RunOutcome(
-                structure="multiplicity", result=res, fiber=stab.fiber_product,
-                stabilization=stab, points=ws.points,
-            )
-            if out.validated:
-                return out
-            last = out
-    if last is None:
-        raise StructureNotFoundError("no witness points to examine")
-    return last
+
+    return _first_validated(outcomes(), "no witness points to examine")
 
 
-def _validate_multiplicity(f, sliced_param, res, prefix, fiber, dim_D, seed):
+def _validate_multiplicity(res, fiber, f, sliced_param, prefix, dim_D, seed):
+    if res.status != "recovered":
+        return None
     # the first n coordinates of the first block are the witness point at p*
     blk_start, _ = fiber.block_slices[0]
     n_x = len(sliced_param.indices(VARIABLE, AUXILIARY))

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .numlin import DEFAULT_RANK_TOL, lstsq, null_space, numerical_rank
 from .structure import trace_data
-from .tracker import Homotopy, track_path
+from .tracker import Homotopy, track_paths
 
 INFINITY = "infinity"
 WITNESS = "witness"
@@ -40,16 +40,17 @@ REFINE_TOL = 1e-9  # relative to 1 + the coefficient norm
 MAX_REFINE = 60
 
 
-def stack(systems, param_names):
+def stack(systems):
     """Lay copies of systems side by side over one shared parameter block.
 
     Each system's variable and auxiliary indeterminates form one block, in
-    their own order and named ``<name>_<k>``; the parameters, named
-    ``param_names``, come last.  Returns the stacked system and each block's
-    ``(start, stop)``.
+    their own order and named ``<name>_<k>``; the parameters come last, in
+    the order and under the names of the first system's.  Returns the
+    stacked system and each block's ``(start, stop)``.
     """
+    params = systems[0].indices(PARAMETER)
     n_block = sum(len(s.indices(VARIABLE, AUXILIARY)) for s in systems)
-    arity = n_block + len(param_names)
+    arity = n_block + len(params)
     roles, names, polys, blocks = [], [], [], []
     for k, sys in enumerate(systems):
         blk = sys.indices(VARIABLE, AUXILIARY)
@@ -63,8 +64,8 @@ def stack(systems, param_names):
         names += [f"{sys.names[i]}_{k}" for i in blk]
         blocks.append((start, len(roles)))
         polys.extend(p.remap(arity, imap) for p in sys.polynomials)
-    roles += [PARAMETER] * len(param_names)
-    names += list(param_names)
+    roles += [PARAMETER] * len(params)
+    names += [systems[0].names[i] for i in params]
     return PolySystem(polys, roles, names), blocks
 
 
@@ -89,13 +90,10 @@ class ConditionSystem:
 class FiberProductSystem:
     """Stacked condition systems sharing one parameter block."""
 
-    def __init__(self, components, param_names, p_hat):
+    def __init__(self, components, p_hat):
         self.components = list(components)
-        self.param_names = list(param_names)
         self.p_hat = np.asarray(p_hat, dtype=complex)
-        self.full_system, self.block_slices = stack(
-            [c.system for c in self.components], self.param_names
-        )
+        self.full_system, self.block_slices = stack([c.system for c in self.components])
         self.n_block_unknowns = self.block_slices[-1][1]
 
     @property
@@ -104,14 +102,14 @@ class FiberProductSystem:
 
     @property
     def n_parameters(self):
-        return len(self.param_names)
+        return len(self.p_hat)
 
     def system_size(self):
         """Equations plus primal unknowns (blocks and parameters)."""
         return self.n_equations + self.n_block_unknowns + self.n_parameters
 
     def with_component(self, comp):
-        return FiberProductSystem(self.components + [comp], self.param_names, self.p_hat)
+        return FiberProductSystem(self.components + [comp], self.p_hat)
 
     def start_point(self):
         blocks = [np.asarray(c.start_block, dtype=complex) for c in self.components]
@@ -173,17 +171,11 @@ def move_to_slice(detection, points, new_coeffs):
                       sliced.names + names)
     h = Homotopy(hsys, range(n), range(n, arity), detection.slice.ravel(),
                  new_coeffs.ravel())
-    out = []
-    for p in points:
-        res = track_path(h, np.asarray(p, dtype=complex))
+    results = track_paths(h, [np.asarray(p, dtype=complex) for p in points])
+    for res in results:
         if not res.success:
             raise RuntimeError(f"slice-moving homotopy failed: {res.status}")
-        out.append(res.endpoint)
-    return out
-
-
-def _param_names(f):
-    return [f.names[i] for i in f.indices(PARAMETER)]
+    return [res.endpoint for res in results]
 
 
 def build_witness_condition(f, dim_D, points, detection, seed=0):
@@ -203,7 +195,7 @@ def build_witness_condition(f, dim_D, points, detection, seed=0):
     copy = f.with_polynomials(
         f.polynomials + [affine_row(row, var, f.arity) for row in coeffs]
     )
-    sys, _ = stack([copy] * d, _param_names(f))
+    sys, _ = stack([copy] * d)
     return ConditionSystem(
         kind=WITNESS,
         system=sys,
@@ -274,7 +266,7 @@ def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
                       f.names + [f"{f.names[i]}_d" for i in var]
                       + [f"{f.names[i]}_dd" for i in var])
 
-    sys, blocks = stack([copy] * r, _param_names(f))
+    sys, blocks = stack([copy] * r)
     # trace row: α · Σ_j xddot_j
     xddots = [start + 2 * n + a for start, _ in blocks for a in range(n)]
     trace_row = affine_row(np.append(np.tile(alpha, r), 0.0), xddots, sys.arity)
@@ -329,7 +321,7 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
         polys.append(row)
     copy = PolySystem(polys, f_sliced.roles + [AUXILIARY] * (n - 1),
                       f_sliced.names + [f"lam{a}" for a in range(n - 1)])
-    sys, _ = stack([copy], _param_names(f_sliced))
+    sys, _ = stack([copy])
 
     # start λ from the closest-to-null vector of J·R1, rescaled so the last
     # coordinate of R1⁻¹·v is 1
@@ -389,11 +381,11 @@ class StabilizeResult:
     accepted: list  # whether each candidate was kept
 
 
-def stabilize(builder, candidates, param_names, p_hat, tol=None,
+def stabilize(builder, candidates, p_hat, tol=None,
               seed=0, stop_on_plateau=True, cumulative=False):
     """Assemble conditions while the image dimension keeps dropping.
 
-    ``builder(index, candidate, seed)`` returns a fresh ConditionSystem
+    ``builder(candidate, seed)`` returns a fresh ConditionSystem
     (fresh random constants per call).  Candidates are tried in order and
     the image dimension and size of each trial assembly are recorded; a
     trial that strictly drops the dimension is accepted, and the last
@@ -417,9 +409,9 @@ def stabilize(builder, candidates, param_names, p_hat, tol=None,
     best = best_dim = trial = None
     dims, sizes, accepted = [], [], []
     for i, cand in enumerate(candidates):
-        comp = builder(i, cand, seed + 1000 * (i + 1))
+        comp = builder(cand, seed + 1000 * (i + 1))
         base = trial if cumulative else best
-        trial = (FiberProductSystem([comp], param_names, p_hat) if base is None
+        trial = (FiberProductSystem([comp], p_hat) if base is None
                  else base.with_component(comp))
         dim, _ = image_dimension(trial, tol=tol)
         dims.append(dim)

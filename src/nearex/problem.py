@@ -19,7 +19,9 @@ default one group of all variables); ``positive_dim``: ``dim``, ``degree``;
 ``factor``: ``dim``, ``subset_size``; ``multiplicity``: ``prefix``, ``dim``.
 All kinds but ``infinity`` accept ``max_components`` via options to pin the
 number of stabilization trials; ``infinity`` imposes one condition per suspect
-solution, so setting it there is an error.
+solution, so setting it there is an error; ``tol_infinity`` applies to
+``infinity`` only and is an error for every other kind.  ``tol_rank`` is the
+rank tolerance of every image dimension.
 """
 
 from __future__ import annotations
@@ -169,6 +171,8 @@ class ProblemFile:
         opts.update(overrides or {})
         if self.kind == "infinity" and opts.get("max_components") is not None:
             raise ProblemError("max_components does not apply to an infinity problem")
+        if self.kind != "infinity" and opts.get("tol_infinity") is not None:
+            raise ProblemError(f"tol_infinity does not apply to a {self.kind} problem")
         return opts
 
     def run(self, seed=None, overrides=None):

@@ -49,15 +49,12 @@ PATCH_EPSILON = 1e-3
 @dataclass
 class LagrangeSystem:
     system: PolySystem  # 𝒢 including the multiplier patch row
-    fiber: FiberProductSystem
-    p_hat: np.ndarray
-    primal_indices: list  # blocks then parameters, within 𝒢
-    param_indices: list
+    fiber: FiberProductSystem  # its blocks then parameters lead 𝒢's unknowns
     lambda_indices: list
 
     def start_point(self):
         start = np.zeros(self.system.arity, dtype=complex)
-        start[self.primal_indices] = self.fiber.start_point()
+        start[: self.fiber.full_system.arity] = self.fiber.start_point()
         start[self.lambda_indices[0]] = 1.0
         return start
 
@@ -113,9 +110,6 @@ def build_lagrange(F, patch_seed=0):
     return LagrangeSystem(
         system=PolySystem(polys, roles, names),
         fiber=F,
-        p_hat=p_hat,
-        primal_indices=list(range(n_primal)),
-        param_indices=par,
         lambda_indices=list(range(n_primal, n_primal + M + 1)),
     )
 
@@ -158,10 +152,11 @@ def descend(G):
     endpoint = res.endpoint
     if res.status == SUCCESS:
         endpoint, _ = newton_refine(sys, endpoint)
-    p_star = endpoint[G.param_indices]
-    deltas = p_star - G.p_hat
+    fiber = G.fiber
+    p_star = endpoint[fiber.param_indices()]
+    deltas = p_star - fiber.p_hat
     fiber_res = float(
-        np.linalg.norm(G.fiber.full_system.evaluate(endpoint[G.primal_indices]))
+        np.linalg.norm(fiber.full_system.evaluate(endpoint[: fiber.full_system.arity]))
     )
     crit_res = float(np.linalg.norm(sys.evaluate(endpoint)))
     lam = endpoint[G.lambda_indices]

@@ -76,7 +76,7 @@ def test_double_root_newton_and_two_parameter_descent():
 
     comp = ConditionSystem(kind="witness", system=both,
                            start_block=np.array([-np.sqrt(2.0) + 0j]))
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     res = descend(build_lagrange(F, patch_seed=0))
     assert res.success
     assert res.endpoint[0] == pytest.approx(DOUBLE_ROOT_TWO_PARAM[0], abs=1e-6)
@@ -282,7 +282,7 @@ def test_path_counts_derivative_tables_monotonicity_and_determinism():
                                   base.polynomials[0].diff(0)])
     comp = ConditionSystem(kind="witness", system=both,
                            start_block=np.array([-np.sqrt(2.0) + 0j]))
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     G = build_lagrange(F, patch_seed=0)
     rng = seeded_rng(11)
     z = rng.normal(size=G.system.arity) + 1j * rng.normal(size=G.system.arity)
@@ -314,7 +314,7 @@ def test_path_counts_derivative_tables_monotonicity_and_determinism():
         comps.append(build_witness_condition(fpos, 1, [cands[0]], seed=k,
                                              detection=ws))
         dim, _ = image_dimension(
-            FiberProductSystem(list(comps), ["p1", "p2"], p_hat))
+            FiberProductSystem(list(comps), p_hat))
         if prev is not None:
             assert dim <= prev
         prev = dim

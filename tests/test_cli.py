@@ -49,10 +49,15 @@ def test_unknown_flag_is_an_input_error(tmp_path):
     assert run_cli("--help") == 0
 
 
-def test_max_components_is_rejected_for_infinity(tmp_path):
-    problem = FIXTURE_DIR / "infinity_example.json"
-    assert run_cli("recover", problem, "--max-components", 2, "--out-dir", tmp_path) == 1
-    assert run_cli("study", problem, "--n", 1, "--max-components", 2,
+@pytest.mark.parametrize("fixture, flag, value", [
+    ("infinity_example", "--max-components", 2),
+    ("posdim", "--tol-infinity", 1e-3),
+], ids=["max-components-on-infinity", "tol-infinity-on-posdim"])
+def test_option_of_another_kind_is_rejected(tmp_path, fixture, flag, value):
+    problem = FIXTURE_DIR / f"{fixture}.json"
+    assert run_cli("recover", problem, flag, value, "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "report.json").exists()
+    assert run_cli("study", problem, "--n", 1, flag, value,
                    "--out-dir", tmp_path) == 1
     assert not (tmp_path / "study.csv").exists()
 

@@ -121,6 +121,21 @@ def test_multiplicity_zero_dimensional_double_root():
     assert out.result.p_star[1] == pytest.approx(1.999999988334534, abs=1e-6)
 
 
+@pytest.mark.parametrize("groups, dims, sizes", [
+    (None, [3], [10]),
+    ([["x1"], ["x2"]], [2], [12]),
+], ids=["one-group", "two-groups"])
+def test_every_infinity_outcome_carries_a_stabilization_table(groups, dims, sizes):
+    # a single suspect is stabilized like several: one trial, one table row
+    f, _, p_hat, _ = load("infinity_example")
+    out = recover_infinity(f, p_hat, groups=groups, seed=0)
+    assert out.validated
+    assert out.stabilization.dims == dims
+    assert out.stabilization.sizes == sizes
+    assert out.stabilization.accepted == [True]
+    assert out.fiber.system_size() == sizes[-1]
+
+
 def test_run_outcome_reports_component_growth():
     f, _, p_hat, _ = load("posdim")
     out = recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0)

@@ -69,7 +69,7 @@ def test_fiber_product_shares_the_parameter_block():
     f, p_hat, ws, cands = posdim_detection()
     c1 = build_witness_condition(f, 1, [cands[0]], seed=1, detection=ws)
     c2 = build_witness_condition(f, 1, [cands[0]], seed=2, detection=ws)
-    F = FiberProductSystem([c1, c2], ["p1", "p2"], p_hat)
+    F = FiberProductSystem([c1, c2], p_hat)
     assert F.n_parameters == 2
     assert F.n_block_unknowns == c1.block_size + c2.block_size
     assert F.system_size() == F.n_equations + F.n_block_unknowns + 2
@@ -80,7 +80,7 @@ def test_fiber_product_shares_the_parameter_block():
 def test_image_dimension_single_witness_condition():
     f, p_hat, ws, cands = posdim_detection()
     c1 = build_witness_condition(f, 1, [cands[0]], seed=1, detection=ws)
-    F = FiberProductSystem([c1], ["p1", "p2"], p_hat)
+    F = FiberProductSystem([c1], p_hat)
     dim, pt = image_dimension(F)
     assert dim == 1  # one witness condition cuts the parameter plane to a curve
     assert np.linalg.norm(F.full_system.evaluate(pt)) < 1e-8
@@ -92,7 +92,7 @@ def test_image_dimension_is_monotone_under_appends():
     comps = []
     for k in range(3):
         comps.append(build_witness_condition(f, 1, [cands[0]], seed=k, detection=ws))
-        F = FiberProductSystem(list(comps), ["p1", "p2"], p_hat)
+        F = FiberProductSystem(list(comps), p_hat)
         dim, _ = image_dimension(F)
         if prev is not None:
             assert dim <= prev
@@ -106,10 +106,10 @@ def test_image_dimension_is_monotone_under_appends():
 def test_stabilize_cumulative_records_growing_sizes(cumulative):
     f, p_hat, ws, cands = posdim_detection()
 
-    def builder(i, cand, seed):
+    def builder(cand, seed):
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stab = stabilize(builder, range(3), ["p1", "p2"], p_hat,
+    stab = stabilize(builder, range(3), p_hat,
                      stop_on_plateau=False, cumulative=cumulative)
     assert len(stab.dims) == 3
     # dimension stabilizes at 1 (the exceptional line) and the product keeps
@@ -130,11 +130,11 @@ def test_stabilize_plateau_stops_early():
     f, p_hat, ws, cands = posdim_detection()
     calls = []
 
-    def builder(i, cand, seed):
-        calls.append(i)
+    def builder(cand, seed):
+        calls.append(cand)
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stab = stabilize(builder, range(5), ["p1", "p2"], p_hat,
+    stab = stabilize(builder, range(5), p_hat,
                      stop_on_plateau=True, cumulative=True)
     assert len(calls) < 5
     assert stab.dims[-1] == stab.dims[-2]
@@ -143,17 +143,17 @@ def test_stabilize_plateau_stops_early():
 def test_stabilize_requires_candidates():
     f, p_hat, ws, cands = posdim_detection()
     with pytest.raises(ValueError):
-        stabilize(lambda i, c, s: None, [], ["p1", "p2"], p_hat)
+        stabilize(lambda c, s: None, [], p_hat)
 
 
 def test_stabilize_seeds_are_deterministic():
     f, p_hat, ws, cands = posdim_detection()
     seeds = []
 
-    def builder(i, cand, seed):
+    def builder(cand, seed):
         seeds.append(seed)
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stabilize(builder, range(2), ["p1", "p2"], p_hat, seed=7,
+    stabilize(builder, range(2), p_hat, seed=7,
               stop_on_plateau=False, cumulative=True)
     assert seeds == [7 + 1000, 7 + 2000]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nearex.algebra import format_system
+from nearex.fixtures import P_STAR
 from nearex.problem import ProblemError, ProblemFile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -94,12 +95,33 @@ def test_derived_fixtures_match_their_derivation():
         assert format_system(build()) == prob.source, name
 
 
-def test_run_dispatches_multiplicity_double_root():
-    prob = ProblemFile.load(FIXTURE_DIR / "double_root.json")
+@pytest.mark.parametrize("name, p_star, tol", [
+    ("double_root", [2.828427116497461, 1.999999988334534], 1e-6),
+    ("infinity_example", P_STAR["infinity_example"], 1e-4),
+    ("fourbar", P_STAR["fourbar"], 1e-3),
+], ids=["double_root", "infinity_example", "fourbar"])
+def test_run_dispatches_to_the_kinds_pipeline(name, p_star, tol):
+    prob = ProblemFile.load(FIXTURE_DIR / f"{name}.json")
     outcome = prob.run(seed=0)
+    assert outcome.structure == prob.kind
     assert outcome.validated
-    assert outcome.result.p_star[0] == pytest.approx(2.828427116497461, abs=1e-6)
-    assert outcome.result.p_star[1] == pytest.approx(1.999999988334534, abs=1e-6)
+    assert outcome.result.p_star == pytest.approx(p_star, abs=tol)
+
+
+def test_tol_rank_reaches_every_image_dimension(monkeypatch):
+    import nearex.fiberprod
+
+    tols = []
+    image_dimension = nearex.fiberprod.image_dimension
+
+    def spy(F, tol):
+        tols.append(tol)
+        return image_dimension(F, tol=tol)
+
+    monkeypatch.setattr(nearex.fiberprod, "image_dimension", spy)
+    prob = ProblemFile.load(FIXTURE_DIR / "posdim.json")
+    prob.run(seed=0, overrides={"tol_rank": 3e-7})
+    assert tols and all(t == 3e-7 for t in tols)
 
 
 def test_load_and_run_parse_the_source_once(monkeypatch):

@@ -52,7 +52,7 @@ def test_newton_on_root_and_derivative_reaches_the_double_root():
 
 def test_two_parameter_descent_recovers_nearest_double_root():
     comp = double_root_fiber()
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     G = build_lagrange(F, patch_seed=0)
     res = descend(G)
     assert res.success
@@ -65,7 +65,7 @@ def test_two_parameter_descent_recovers_nearest_double_root():
 
 def test_lagrange_system_is_square_with_multiplier_patch():
     comp = double_root_fiber()
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     G = build_lagrange(F, patch_seed=3)
     n_eq = len(G.system.polynomials)
     assert n_eq == G.system.arity
@@ -78,7 +78,7 @@ def test_lagrange_system_is_square_with_multiplier_patch():
 
 def test_lagrange_gradient_rows_match_finite_differences():
     comp = double_root_fiber()
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     G = build_lagrange(F, patch_seed=0)
     rng = seeded_rng(11)
     z = rng.normal(size=G.system.arity) + 1j * rng.normal(size=G.system.arity)
@@ -106,7 +106,7 @@ def test_lagrange_gradient_rows_match_finite_differences():
 
 def test_descend_is_deterministic():
     comp = double_root_fiber()
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     a = descend(build_lagrange(F, patch_seed=0))
     b = descend(build_lagrange(F, patch_seed=0))
     assert np.array_equal(a.endpoint, b.endpoint)
@@ -115,7 +115,7 @@ def test_descend_is_deterministic():
 
 def test_report_is_json_ready():
     comp = double_root_fiber()
-    F = FiberProductSystem([comp], ["p1", "p2"], DOUBLE_ROOT_P_HAT)
+    F = FiberProductSystem([comp], DOUBLE_ROOT_P_HAT)
     res = descend(build_lagrange(F, patch_seed=0))
     doc = report(res, fiber=F, extra={"label": "double-root"})
     text = json.dumps(doc, sort_keys=True)
