@@ -276,7 +276,19 @@ def _format_complex(c):
 
 
 class CompiledSystem:
-    """Flat-array form of a polynomial list for fast evaluation and Jacobians."""
+    """Flat-array form of a polynomial list for fast evaluation and Jacobians.
+
+    A *factor* is a nonzero exponent of a term: ``fvar``, ``fexp`` and
+    ``fterm`` list them term by term, ``coeffs`` and ``rows`` give each
+    term's coefficient and equation, and the ``j``-prefixed arrays are the
+    same for the Jacobian's terms.  ``__init__`` builds one
+    :class:`SumOfProducts` plan from each set, and ``evaluate`` and
+    ``jacobian`` run those plans: one ``np.power`` per distinct
+    (indeterminate, exponent) pair, index arrays kept for the tallest stack
+    seen, and products and sums in ``np.multiply.at``/``np.add.at``, because
+    NumPy's vectorized complex multiply uses fused multiply-add and would
+    round a point of a stack differently from the point alone.
+    """
 
     def __init__(self, polynomials, arity):
         self.arity = arity
@@ -289,6 +301,7 @@ class CompiledSystem:
         # a factor is a nonzero exponent: term by term, indeterminates in order
         fterm, fvar = np.nonzero(exps)
         fexp = exps[fterm, fvar]
+        del exps  # (n_terms, arity): freed before the plans' own temporaries
         coeffs = np.fromiter((c for poly in polynomials for c in poly.terms.values()),
                              dtype=complex, count=n_terms)
         # per-point arrays are rows, for numpy's same-shape fast path at one point
@@ -315,6 +328,10 @@ class CompiledSystem:
         self.jfexp = jexp[kept].astype(complex)[None]
         self.jfterm = jt[kept]
 
+        self.value_plan = SumOfProducts(self.fvar, fexp, self.fterm, self.coeffs,
+                                        self.rows, self.n_eqs)
+        self.jacobian_plan = SumOfProducts(self.jfvar, jexp[kept], self.jfterm, self.jcoeff,
+                                           self.jentry, self.n_eqs * arity)
         self.coefficient_norm = float(np.linalg.norm(self.coeffs))
 
     def evaluate(self, point):
@@ -322,40 +339,85 @@ class CompiledSystem:
         point = np.asarray(point, dtype=complex)
         if point.shape[-1] != self.arity:
             raise ValueError(f"point length {point.shape[-1]} != arity {self.arity}")
-        out = _sum_products(point.reshape(-1, self.arity), self.fvar, self.fexp, self.fterm,
-                            self.coeffs, self.rows, self.n_eqs)
+        out = self.value_plan(point.reshape(-1, self.arity))
         return out.reshape(point.shape[:-1] + (self.n_eqs,))
 
     def jacobian(self, point):
         """Jacobian at one point, or at each row of a ``(P, arity)`` stack."""
         point = np.asarray(point, dtype=complex)
-        out = _sum_products(point.reshape(-1, self.arity), self.jfvar, self.jfexp, self.jfterm,
-                            self.jcoeff, self.jentry, self.n_eqs * self.arity)
+        out = self.jacobian_plan(point.reshape(-1, self.arity))
         return out.reshape(point.shape[:-1] + (self.n_eqs, self.arity))
 
 
-def _sum_products(stack, fvar, fexp, fterm, coeffs, entry, size):
-    """``out[entry[i]] += coeffs[i] · Π factors of term i`` for each point of
-    the stack, into a flat ``(P·size,)`` array."""
-    P, n_terms = len(stack), coeffs.shape[1]
-    mono = np.empty((P, n_terms), dtype=complex)
-    mono.fill(1.0)
-    if fvar.size:
-        factors = stack.take(fvar, axis=1)
-        np.power(factors, fexp, out=factors)
-        np.multiply.at(mono.reshape(-1), per_point(fterm, P, n_terms), factors.reshape(-1))
-    np.multiply(coeffs, mono, out=mono)
-    out = np.zeros(P * size, dtype=complex)
-    np.add.at(out, per_point(entry, P, size), mono.reshape(-1))
-    return out
+class SumOfProducts:
+    """``out[entry[i]] += coeffs[i] · Π factors of term i`` at each point of a
+    ``(P, arity)`` stack, into a flat ``(P·size,)`` array; factor k of the
+    flat lists is ``point[var[k]] ** exp[k]`` and belongs to term ``term[k]``.
+
+    The plan is built once per system.  ``np.power`` runs once per distinct
+    (indeterminate, exponent) pair, and a gather hands each power to its
+    factors: the same elementwise operation on the same values as one power
+    per factor, so the same bits.  Products and sums stay ``np.multiply.at``
+    and ``np.add.at``: NumPy's vectorized complex multiply fuses multiply and
+    add, so ``a * b`` on whole arrays can round differently from the
+    one-element loop that ``ufunc.at`` runs, and a point of a stack would no
+    longer get the bits it gets alone.
+    """
+
+    def __init__(self, var, exp, term, coeffs, entry, size):
+        # one integer key per (indeterminate, exponent) pair: a 1-D unique sorts fast
+        n_vars = int(var.max()) + 1 if var.size else 1
+        pairs, self.gather = np.unique(exp * n_vars + var, return_inverse=True)
+        self.var = pairs % n_vars
+        self.exp = (pairs // n_vars).astype(complex)[None]  # power casts exponents to complex
+        self.coeffs = coeffs
+        self.size = size
+        self.terms = StackedIndex(term, coeffs.shape[1])
+        self.entries = StackedIndex(entry, size)
+
+    def __call__(self, stack):
+        P = len(stack)
+        mono = np.empty((P, self.coeffs.shape[1]), dtype=complex)
+        mono.fill(1.0)
+        if self.gather.size:
+            powers = stack.take(self.var, axis=1)
+            np.power(powers, self.exp, out=powers)
+            # the gathered factors are a temporary: freed before ``out`` is made
+            np.multiply.at(mono.reshape(-1), self.terms(P),
+                           powers.take(self.gather, axis=1).reshape(-1))
+        np.multiply(self.coeffs, mono, out=mono)
+        out = np.zeros(P * self.size, dtype=complex)
+        np.add.at(out, self.entries(P), mono.reshape(-1))
+        return out
 
 
 def per_point(index, P, stride):
     """``index`` repeated for P points ``stride`` apart: a 1-D ``ufunc.at`` over
-    it runs each point's products and sums in the order of a single point."""
+    it runs each point's products and sums in the order of a single point.
+
+    Row p is ``index + p·stride`` whatever P is, so the array for P points
+    is the first ``P·len(index)`` entries of the array for any larger P.
+    """
     if P == 1:
         return index
     return (index + stride * np.arange(P)[:, None]).reshape(-1)
+
+
+class StackedIndex:
+    """``per_point(index, P, stride)`` for any P, as a prefix of one array
+    kept for the tallest stack seen so far (see :func:`per_point`)."""
+
+    def __init__(self, index, stride):
+        self.index = index
+        self.stride = stride
+        self.stacked = index  # the rows of one point
+
+    def __call__(self, P):
+        n = P * len(self.index)
+        stacked = self.stacked  # one read: another thread may replace it meanwhile
+        if n > len(stacked):
+            stacked = self.stacked = per_point(self.index, P, self.stride)
+        return stacked[:n]
 
 
 class PolySystem:

@@ -21,13 +21,15 @@ All kinds but ``infinity`` accept ``max_components`` via options to pin the
 number of stabilization trials; ``infinity`` imposes one condition per suspect
 solution, so setting it there is an error; ``tol_infinity`` applies to
 ``infinity`` only and is an error for every other kind.  ``tol_rank`` is the
-rank tolerance of every image dimension.
+rank tolerance of every image dimension.  A ``max_components`` below 1 and a
+``tol_rank`` that is not positive are errors.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,13 +168,20 @@ class ProblemFile:
         return system
 
     def options_with(self, overrides=None):
-        """The file's options updated by ``overrides``, checked against the kind."""
+        """The file's options updated by ``overrides``, checked against the kind
+        and against the values a run can use."""
         opts = dict(self.options)
         opts.update(overrides or {})
-        if self.kind == "infinity" and opts.get("max_components") is not None:
+        n_trials, tol_rank = opts.get("max_components"), opts.get("tol_rank")
+        if self.kind == "infinity" and n_trials is not None:
             raise ProblemError("max_components does not apply to an infinity problem")
         if self.kind != "infinity" and opts.get("tol_infinity") is not None:
             raise ProblemError(f"tol_infinity does not apply to a {self.kind} problem")
+        if n_trials is not None and not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
+            raise ProblemError(f"max_components must be a whole number of at least 1, "
+                               f"got {n_trials!r}")
+        if tol_rank is not None and not (isinstance(tol_rank, numbers.Real) and tol_rank > 0):
+            raise ProblemError(f"tol_rank must be a positive number, got {tol_rank!r}")
         return opts
 
     def run(self, seed=None, overrides=None):
@@ -182,7 +191,7 @@ class ProblemFile:
         if seed is None:
             seed = int(opts.get("seed", 0))
         kw = {"seed": seed}
-        if opts.get("tol_rank"):
+        if opts.get("tol_rank") is not None:
             kw["rank_tol"] = float(opts["tol_rank"])
         n_trials = opts.get("max_components")
         st = self.structure
@@ -207,6 +216,6 @@ class ProblemFile:
             return engine.recover_multiplicity(
                 system, self.p_hat, prefix=tuple(st.get("prefix", (1, 1))),
                 dim_D=int(st.get("dim", 1)),
-                n_trials=int(n_trials) if n_trials else 1, **kw,
+                n_trials=1 if n_trials is None else n_trials, **kw,
             )
         raise ProblemError(f"unknown structure kind {kind!r}")

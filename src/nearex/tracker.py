@@ -25,7 +25,7 @@ from .algebra import (
     VARIABLE,
     Polynomial,
     PolySystem,
-    per_point,
+    StackedIndex,
     seeded_rng,
     unit_complex,
 )
@@ -79,11 +79,12 @@ class Homotopy:
         self.base[0, path] = q0
         self.direction = np.zeros(system.arity, dtype=complex)
         self.direction[path] = q1 - q0
+        self.scatter = StackedIndex(self.unknowns, system.arity)
 
     def _full(self, x, t):
         full = np.asarray(t).reshape(-1, 1) * self.direction
         full += self.base
-        full.put(per_point(self.unknowns, len(full), len(self.direction)), x)
+        full.put(self.scatter(len(full)), x)
         return full if x.ndim > 1 else full[0]
 
     def evaluate(self, x, t):

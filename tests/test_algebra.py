@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from nearex.algebra import (
     format_system,
     homogenize,
     parse_system,
+    per_point,
     randomize,
     seeded_rng,
     unit_complex,
@@ -23,6 +26,7 @@ from nearex.fixtures import FIXTURE_DIR, load
 from nearex.problem import ProblemFile
 from nearex.recover import build_lagrange
 from nearex.structure import witness_superset
+from nearex.tracker import linear_homotopy, total_degree_start
 
 
 def random_poly(rng, arity, max_deg=3, n_terms=5):
@@ -311,6 +315,86 @@ def test_compiled_kernels_on_a_stack_equal_the_per_point_calls(P):
     for point, value, jacobian in zip(stack, values, jacobians, strict=True):
         assert value.tobytes() == compiled.evaluate(point).tobytes()
         assert jacobian.tobytes() == compiled.jacobian(point).tobytes()
+
+
+def reference_kernel(stack, fvar, fexp, fterm, coeffs, entry, size):
+    """``out[entry[i]] += coeffs[i] · Π factors of term i`` for each point of
+    the stack: one power per factor and fresh per-point indices on every call."""
+    P, n_terms = len(stack), coeffs.shape[1]
+    mono = np.empty((P, n_terms), dtype=complex)
+    mono.fill(1.0)
+    if fvar.size:
+        factors = stack.take(fvar, axis=1)
+        np.power(factors, fexp, out=factors)
+        np.multiply.at(mono.reshape(-1), per_point(fterm, P, n_terms), factors.reshape(-1))
+    np.multiply(coeffs, mono, out=mono)
+    out = np.zeros(P * size, dtype=complex)
+    np.add.at(out, per_point(entry, P, size), mono.reshape(-1))
+    return out
+
+
+def sixR_homotopy_system():
+    """The system of the total-degree homotopy that detects on 6R."""
+    f, _, p_hat, _ = load("sixR")
+    target = f.substitute_params(p_hat)
+    start, _ = total_degree_start(target, 0)
+    return linear_homotopy(target, start, complex(unit_complex(seeded_rng(0, 2)))).system
+
+
+# exact zeros of either sign, a value whose powers overflow to inf, and nan
+EDGE_VALUES = np.array([0.0, -0.0, complex(-0.0, -0.0), 1e200, complex(0.0, -1e200),
+                        np.nan, complex(1.0, np.nan)])
+HEIGHTS = (3, 1, 7, 2, 0, 7)  # grow, shrink, empty, regrow
+
+
+def edge_stack(rng, P, arity):
+    """A random ``(P, arity)`` stack with about one entry in six an edge value."""
+    stack = rng.normal(size=(P, arity)) + 1j * rng.normal(size=(P, arity))
+    edge = rng.random(size=(P, arity)) < 1 / 6
+    stack[edge] = rng.choice(EDGE_VALUES, size=int(edge.sum()))
+    return stack
+
+
+@pytest.mark.parametrize("source", sorted(FIXTURE_DIR.glob("*.json")) + ["sixR-homotopy"],
+                         ids=lambda s: getattr(s, "stem", s))
+def test_compiled_kernels_equal_the_reference_kernel_bit_for_bit(source):
+    sys = (sixR_homotopy_system() if source == "sixR-homotopy"
+           else ProblemFile.load(source).build_system())
+    compiled = CompiledSystem(sys.polynomials, sys.arity)
+    rng = seeded_rng(17)
+    for P in HEIGHTS:
+        stack = edge_stack(rng, P, sys.arity)
+        with np.errstate(all="ignore"):
+            values, jacobians = compiled.evaluate(stack), compiled.jacobian(stack)
+            want_values = reference_kernel(stack, compiled.fvar, compiled.fexp, compiled.fterm,
+                                           compiled.coeffs, compiled.rows, compiled.n_eqs)
+            want_jacobians = reference_kernel(stack, compiled.jfvar, compiled.jfexp,
+                                              compiled.jfterm, compiled.jcoeff, compiled.jentry,
+                                              compiled.n_eqs * sys.arity)
+        assert values.shape == (P, compiled.n_eqs)
+        assert jacobians.shape == (P, compiled.n_eqs, sys.arity)
+        assert values.tobytes() == want_values.tobytes(), P
+        assert jacobians.tobytes() == want_jacobians.tobytes(), P
+
+
+def test_compiled_kernels_hold_indices_for_the_tallest_stack_only():
+    sys = sixR_homotopy_system()
+    compiled = CompiledSystem(sys.polynomials, sys.arity)
+    stack = edge_stack(seeded_rng(18), 256, sys.arity)
+    # the per-point index arrays of the two kernels, at one point
+    one_point = sum(a.nbytes for a in (compiled.fterm, compiled.rows,
+                                       compiled.jfterm, compiled.jentry))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with np.errstate(all="ignore"):
+            for P in range(256, 0, -1):
+                compiled.evaluate(stack[:P])
+                compiled.jacobian(stack[:P])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 256 * one_point + 64 * 1024
 
 
 # -- substitution ------------------------------------------------------------

@@ -62,6 +62,34 @@ def test_option_of_another_kind_is_rejected(tmp_path, fixture, flag, value):
     assert not (tmp_path / "study.csv").exists()
 
 
+@pytest.mark.parametrize("fixture, flag, value", [
+    ("posdim", "--max-components", 0),
+    ("multiplicity_line", "--max-components", 0),
+    ("multiplicity_line", "--max-components", -2),
+    ("posdim", "--tol-rank", 0),
+    ("multiplicity_line", "--tol-rank", -0.5),
+], ids=["max-components-0-posdim", "max-components-0-multiplicity", "max-components-negative",
+        "tol-rank-0", "tol-rank-negative"])
+def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
+    problem = FIXTURE_DIR / f"{fixture}.json"
+    assert run_cli("recover", problem, flag, value, "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "report.json").exists()
+    assert run_cli("study", problem, "--n", 1, flag, value,
+                   "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("options", [{"max_components": 0}, {"tol_rank": 0.0}],
+                         ids=["max-components", "tol-rank"])
+def test_option_out_of_range_in_the_file_is_rejected(tmp_path, options):
+    doc = json.loads((FIXTURE_DIR / "posdim.json").read_text())
+    doc["options"] = options
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    assert run_cli("recover", problem, "--out-dir", tmp_path) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_seed_override_changes_nothing_essential(tmp_path):
     # a different seed still recovers the same parameter point
     code = run_cli("recover", FIXTURE_DIR / "posdim.json", "--seed", 5,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from nearex.engine import (
     recover_multiplicity,
     recover_positive_dim,
 )
-from nearex.fixtures import load
+from nearex.fixtures import FIXTURE_DIR, load
+from nearex.problem import ProblemFile
 from nearex.structure import solution_residual
 
 
@@ -144,3 +147,26 @@ def test_run_outcome_reports_component_growth():
     assert len(stab.dims) == len(stab.sizes)
     assert all(b > a for a, b in zip(stab.sizes, stab.sizes[1:]))
     assert out.fiber.system_size() in stab.sizes
+
+
+def test_last_failing_study_sample_ends_not_validated():
+    """multiplicity_line at study seed 10, sample 73 (run seed 83), the one
+    sample of study seeds 0-11 that still fails, pinned as it fails today.
+
+    Why it fails: both detections (the first and the redrawn one) give three
+    complex witness points, none of which nearly solves f(.; p-hat) (the
+    first detection's smallest residual is 0.026).  Of the six descents, one
+    ends singular and five end at a complex p*, 2.3 to 21.6 away from p-hat
+    with relative |Im p*| from 0.17 to 0.94, where the candidate's point does
+    not solve f(.; p*) (residual 0.15 to 1.25).  No candidate validates, so
+    the engine returns the last one tried.
+    """
+    prob = ProblemFile.load(FIXTURE_DIR / "multiplicity_line.json")
+    # drawn as `nearex study` draws sample 73 at seed 10, sigma 0.1
+    p_hat = np.real(prob.p_tilde) + 0.1 * seeded_rng(10, 29, 73).normal(size=2)
+    assert p_hat == pytest.approx([1.252, 0.944], abs=1e-3)
+    outcome = dataclasses.replace(prob, p_hat=p_hat.astype(complex)).run(seed=10 + 73)
+    assert not outcome.validated
+    assert outcome.result.status == "not-validated"
+    assert outcome.result.p_star == pytest.approx([4.770 + 0.234j, 7.325 - 20.371j], abs=1e-3)
+    assert outcome.result.validation["imag_p_star"] > 0.5

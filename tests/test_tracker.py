@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from nearex.algebra import (
     VARIABLE,
     CompiledSystem,
     parse_system,
+    per_point,
     seeded_rng,
     unit_complex,
 )
+from nearex.fixtures import load
 from nearex.structure import cluster_points
 from nearex.tracker import (
     Homotopy,
@@ -218,6 +222,55 @@ def test_h_t_is_bitwise_j_times_direction(monkeypatch):
     small = parse_system("vars x, y; params p, q; poly p*x^2 - q*y + 1; poly x*y - p^2 + q^3*x;")
     check(small, 5, 13)
     assert gemvs == [(96, 48)]
+
+
+def reference_full(h, x, t):
+    """``Homotopy._full`` with a fresh scatter index on every call."""
+    full = np.asarray(t).reshape(-1, 1) * h.direction
+    full += h.base
+    full.put(per_point(h.unknowns, len(full), len(h.direction)), x)
+    return full if x.ndim > 1 else full[0]
+
+
+def sixR_homotopy():
+    """The total-degree homotopy that detects on 6R."""
+    f, _, p_hat, _ = load("sixR")
+    target = f.substitute_params(p_hat)
+    start, _ = total_degree_start(target, 0)
+    return linear_homotopy(target, start, complex(unit_complex(seeded_rng(0, 2))))
+
+
+def test_full_points_equal_a_fresh_scatter_at_every_height():
+    interleaved = parse_system("vars x, y; params p, q; poly p*x^2 - q*y + 1; poly x*y - p^2;")
+    # unknowns and path indeterminates interleaved: the scatter is not a prefix
+    cases = [sixR_homotopy(),
+             Homotopy(interleaved, [1, 2], [0, 3], [1.0, 2.0j], [0.5, -1.0])]
+    rng = seeded_rng(19)
+    for h in cases:
+        for P in (3, 1, 7, 2, 0, 7):  # grow, shrink, empty, regrow
+            x = rng.normal(size=(P, len(h.unknowns))) + 1j * rng.normal(size=(P, len(h.unknowns)))
+            t = rng.uniform(size=P)
+            got = h._full(x, t)
+            assert got.shape == (P, len(h.direction))
+            assert got.tobytes() == reference_full(h, x, t).tobytes(), P
+        x = unit_complex(rng, len(h.unknowns))
+        assert h._full(x, 0.25).tobytes() == reference_full(h, x, 0.25).tobytes()
+
+
+def test_full_points_hold_a_scatter_for_the_tallest_stack_only():
+    h = sixR_homotopy()
+    rng = seeded_rng(20)
+    x = unit_complex(rng, (256, len(h.unknowns)))
+    t = rng.uniform(size=256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for P in range(256, 0, -1):
+            h._full(x[:P], t[:P])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 256 * h.unknowns.nbytes + 64 * 1024
 
 
 def test_newton_corrector_evaluates_h_once_per_iterate():
