@@ -282,8 +282,10 @@ class CompiledSystem:
     ``fterm`` list them term by term, ``coeffs`` and ``rows`` give each
     term's coefficient and equation, and the ``j``-prefixed arrays are the
     same for the Jacobian's terms.  ``__init__`` builds one
-    :class:`SumOfProducts` plan from each set, and ``evaluate`` and
-    ``jacobian`` run those plans: one ``np.power`` per distinct
+    :class:`SumOfProducts` plan from each set and a third from both, and
+    ``evaluate``, ``jacobian`` and ``evaluate_with_jacobian`` (values and
+    Jacobian in one call, where both are wanted at one point) run those
+    plans: one ``np.power`` per distinct
     (indeterminate, exponent) pair, index arrays kept for the tallest stack
     seen, and products and sums in ``np.multiply.at``/``np.add.at``, because
     NumPy's vectorized complex multiply uses fused multiply-add and would
@@ -332,6 +334,13 @@ class CompiledSystem:
                                         self.rows, self.n_eqs)
         self.jacobian_plan = SumOfProducts(self.jfvar, jexp[kept], self.jfterm, self.jcoeff,
                                            self.jentry, self.n_eqs * arity)
+        # both term lists in one plan, the Jacobian's entries after the values:
+        # each entry gets its products and sums in the order it gets alone
+        self.fused_plan = SumOfProducts(
+            np.concatenate([fvar, self.jfvar]), np.concatenate([fexp, jexp[kept]]),
+            np.concatenate([fterm, self.jfterm + n_terms]),
+            np.concatenate([self.coeffs, self.jcoeff], axis=1),
+            np.concatenate([self.rows, self.jentry + self.n_eqs]), self.n_eqs * (1 + arity))
         self.coefficient_norm = float(np.linalg.norm(self.coeffs))
 
     def evaluate(self, point):
@@ -347,6 +356,17 @@ class CompiledSystem:
         point = np.asarray(point, dtype=complex)
         out = self.jacobian_plan(point.reshape(-1, self.arity))
         return out.reshape(point.shape[:-1] + (self.n_eqs, self.arity))
+
+    def evaluate_with_jacobian(self, point):
+        """``(evaluate(point), jacobian(point))`` bit for bit, from one plan call."""
+        point = np.asarray(point, dtype=complex)
+        if point.shape[-1] != self.arity:
+            raise ValueError(f"point length {point.shape[-1]} != arity {self.arity}")
+        stack = point.reshape(-1, self.arity)
+        out = self.fused_plan(stack).reshape(len(stack), self.fused_plan.size)
+        lead = point.shape[:-1]
+        return (out[:, :self.n_eqs].reshape(lead + (self.n_eqs,)),
+                out[:, self.n_eqs:].reshape(lead + (self.n_eqs, self.arity)))
 
 
 class SumOfProducts:

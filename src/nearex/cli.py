@@ -160,6 +160,8 @@ def cmd_study(args):
         raise ProblemError("study requires a p_tilde nominal point in the problem file")
     if args.n < 1:
         raise ProblemError("--n must be at least 1")
+    if not (np.isfinite(args.sigma) and args.sigma > 0):
+        raise ProblemError(f"--sigma must be a positive finite number, got {args.sigma!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     overrides = _overrides(args)
@@ -180,7 +182,30 @@ def cmd_study(args):
     return EXIT_OK
 
 
+def _attach_negative_values(argv):
+    """``--flag -1e-6`` as ``--flag=-1e-6``.  argparse takes an argument that
+    starts with ``-`` for a value only when it reads like ``-2`` or ``-0.5``,
+    so it would read ``-1e-6`` or ``-inf`` as an unknown option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _is_negative_number(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_negative_number(arg):
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
 def main(argv=None):
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help

@@ -350,25 +350,25 @@ def image_dimension(F, tol=DEFAULT_RANK_TOL):
     """
     sys = F.full_system
     x = np.asarray(F.start_point(), dtype=complex).copy()
-    res = np.linalg.norm(sys.evaluate(x))
+    H, J = sys.compiled.evaluate_with_jacobian(x)
+    res = np.linalg.norm(H)
     scale = 1.0 + sys.coefficient_norm()
     for _ in range(MAX_REFINE):
         if res <= REFINE_TOL * scale:
             break
-        J = sys.jacobian(x)
-        dx = lstsq(J, -sys.evaluate(x))
-        x_new = x + dx
-        res_new = np.linalg.norm(sys.evaluate(x_new))
+        x_new = x + lstsq(J, -H)
+        H_new, J_new = sys.compiled.evaluate_with_jacobian(x_new)
+        res_new = np.linalg.norm(H_new)
         if not np.isfinite(res_new):
             break
-        x, res = x_new, res_new
+        x, res, H, J = x_new, res_new, H_new, J_new
     else:
         if res > REFINE_TOL * scale:
             raise RuntimeError(
                 f"could not refine the start point onto the fiber product "
                 f"(residual {res:.3e})"
             )
-    N = null_space(sys.jacobian(x), tol)
+    N = null_space(J, tol)
     p_rows = N[F.param_indices(), :]
     return numerical_rank(p_rows, tol), x
 

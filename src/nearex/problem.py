@@ -21,8 +21,8 @@ All kinds but ``infinity`` accept ``max_components`` via options to pin the
 number of stabilization trials; ``infinity`` imposes one condition per suspect
 solution, so setting it there is an error; ``tol_infinity`` applies to
 ``infinity`` only and is an error for every other kind.  ``tol_rank`` is the
-rank tolerance of every image dimension.  A ``max_components`` below 1 and a
-``tol_rank`` that is not positive are errors.
+rank tolerance of every image dimension.  A ``max_components`` below 1, and a
+``tol_rank`` or ``tol_infinity`` that is not a positive number, are errors.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class ProblemFile:
         and against the values a run can use."""
         opts = dict(self.options)
         opts.update(overrides or {})
-        n_trials, tol_rank = opts.get("max_components"), opts.get("tol_rank")
+        n_trials = opts.get("max_components")
         if self.kind == "infinity" and n_trials is not None:
             raise ProblemError("max_components does not apply to an infinity problem")
         if self.kind != "infinity" and opts.get("tol_infinity") is not None:
@@ -180,8 +180,10 @@ class ProblemFile:
         if n_trials is not None and not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
             raise ProblemError(f"max_components must be a whole number of at least 1, "
                                f"got {n_trials!r}")
-        if tol_rank is not None and not (isinstance(tol_rank, numbers.Real) and tol_rank > 0):
-            raise ProblemError(f"tol_rank must be a positive number, got {tol_rank!r}")
+        for name in ("tol_rank", "tol_infinity"):
+            tol = opts.get(name)
+            if tol is not None and not (isinstance(tol, numbers.Real) and tol > 0):
+                raise ProblemError(f"{name} must be a positive number, got {tol!r}")
         return opts
 
     def run(self, seed=None, overrides=None):

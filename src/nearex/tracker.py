@@ -5,7 +5,9 @@ a :class:`Homotopy` tracks ``H(x, t) = F(x; q0 + t·(q1 − q0))``, where the
 path indeterminates ``q`` run from ``q1`` at t = 1 to ``q0`` at t = 0 and the
 remaining indeterminates ``x`` are the tracked unknowns.  Prediction is
 fourth-order Runge–Kutta on the Davidenko equation ``J_x dx/dt = -dH/dt``,
-correction is plain Newton at fixed ``t``.
+correction is plain Newton at fixed ``t``.  Each corrector iterate takes H
+and J from one kernel call, and the J of the point a step ends on gives the
+next step's first slope.
 
 :func:`track_paths` moves all paths of a homotopy in lock-step, as
 HomotopyContinuation.jl does (Breiding & Timme 2018), each path ending bit
@@ -91,14 +93,18 @@ class Homotopy:
         """H at (x, t): one point, or a ``(P, n)`` stack at ``(P,)`` values of t."""
         return self.system.evaluate(self._full(x, t))
 
-    def jacobian_x(self, x, t):
-        """J_x at (x, t)."""
-        return self.system.compiled.jacobian(self._full(x, t)).take(self.unknowns, axis=-1)
+    def evaluate_with_jacobian(self, x, t):
+        """(H, J) at (x, t) from one kernel call, where J is the system's
+        Jacobian in all its indeterminates (see :meth:`partials`)."""
+        return self.system.compiled.evaluate_with_jacobian(self._full(x, t))
+
+    def partials(self, J):
+        """(J_x, H_t) from the system's Jacobian J at a point of the path."""
+        return J.take(self.unknowns, axis=-1), matvec(J, self.direction)
 
     def jacobians(self, x, t):
         """(J_x, H_t) at (x, t)."""
-        J = self.system.compiled.jacobian(self._full(x, t))
-        return J.take(self.unknowns, axis=-1), matvec(J, self.direction)
+        return self.partials(self.system.compiled.jacobian(self._full(x, t)))
 
 
 @dataclass
@@ -115,49 +121,50 @@ class TrackResult:
 
 
 def _newton_correct(h, x, t, tol, max_steps):
-    """Newton at fixed t on each row of a stack: ``(x, residual, converged)``.
+    """Newton at fixed t on each row of a stack: ``(x, residual, converged,
+    J)``, where J holds each row's full Jacobian at the point it ends on.
 
     A row stops at its first step of at most ``tol`` or singular Jacobian.
-    H is evaluated once per iterate: the value that gives an iterate's
-    residual is the right-hand side of the step from it.
+    One kernel call per iterate gives H and J there: the iterate's residual
+    and the step from it.
     """
     x = x.copy()
-    H = h.evaluate(x, t)
+    H, J = h.evaluate_with_jacobian(x, t)
     res = row_norms(H)
     ok = np.zeros(len(x), dtype=bool)
-    rows, xr, tr = np.arange(len(x)), x, t  # the rows still iterating
+    rows, xr, tr, Jr = np.arange(len(x)), x, t, J  # the rows still iterating
     for _ in range(max_steps):
-        dx, solved = solve_stack(h.jacobian_x(xr, tr), -H)
+        dx, solved = solve_stack(Jr.take(h.unknowns, axis=-1), -H)
         if not all(solved.tolist()):  # a singular row stops where it is
             rows, xr, tr, dx = rows[solved], xr[solved], tr[solved], dx[solved]
         xr = xr + dx
-        H = h.evaluate(xr, tr)
-        x[rows], res[rows] = xr, row_norms(H)
+        H, Jr = h.evaluate_with_jacobian(xr, tr)
+        x[rows], res[rows], J[rows] = xr, row_norms(H), Jr
         done = row_norms(dx) <= tol
         flags = done.tolist()
         if all(flags):
             ok[rows] = True
-            return x, res, ok
+            return x, res, ok, J
         if any(flags):
             ok[rows[done]] = True
-            rows, xr, tr, H = rows[~done], xr[~done], tr[~done], H[~done]
+            rows, xr, tr, H, Jr = rows[~done], xr[~done], tr[~done], H[~done], Jr[~done]
     ok[rows] = res[rows] <= tol
-    return x, res, ok
+    return x, res, ok, J
 
 
-def _predict_rk4(h, x, t, dt):
+def _predict_rk4(h, x, J, t, dt):
     """One RK4 step of the Davidenko ODE from t to t+dt (dt < 0) on each row
-    of a stack: ``(x, ok)``, where ok is False if a slope was singular."""
+    of a stack, J holding each row's full Jacobian at (x, t): ``(x, ok)``,
+    where ok is False if a slope was singular."""
 
-    def slope(xv, tv):
-        Jx, Ht = h.jacobians(xv, tv)
+    def slope(Jx, Ht):
         return solve_stack(Jx, -Ht)
 
     half = 0.5 * dt
-    k1, ok1 = slope(x, t)
-    k2, ok2 = slope(x + half[:, None] * k1, t + half)
-    k3, ok3 = slope(x + half[:, None] * k2, t + half)
-    k4, ok4 = slope(x + dt[:, None] * k3, t + dt)
+    k1, ok1 = slope(*h.partials(J))  # "first same as last": the corrector's J
+    k2, ok2 = slope(*h.jacobians(x + half[:, None] * k1, t + half))
+    k3, ok3 = slope(*h.jacobians(x + half[:, None] * k2, t + half))
+    k4, ok4 = slope(*h.jacobians(x + dt[:, None] * k3, t + dt))
     return x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4), ok1 & ok2 & ok3 & ok4
 
 
@@ -168,7 +175,8 @@ def track_paths(h, starts):
     calls are shared.  Paths reaching the endgame are polished together at t=0.
     """
     x = np.array(starts, dtype=complex).reshape(len(starts), len(h.unknowns))
-    for start_res in row_norms(h.evaluate(x, np.ones(len(x)))):
+    H, J = h.evaluate_with_jacobian(x, np.ones(len(x)))  # row i's J at its point
+    for start_res in row_norms(H):
         if start_res > START_TOL:
             raise ValueError(
                 f"start point residual {start_res:.3e} exceeds tolerance {START_TOL:.3e}"
@@ -185,16 +193,18 @@ def track_paths(h, starts):
     while live:
         t = np.array([p.t for p in live])
         dt = np.array([min(p.dt, p.t) for p in live])  # never step past t=0
-        x_new, ok = _predict_rk4(h, x, t, -dt)
+        x_new, ok = _predict_rk4(h, x, J, t, -dt)
         t_new = t - dt
         if all(ok.tolist()):
-            x_new, res, ok = _newton_correct(h, x_new, t_new, CORRECTOR_TOL, CORRECTOR_STEPS)
+            x_new, res, ok, J_new = _newton_correct(h, x_new, t_new, CORRECTOR_TOL,
+                                                    CORRECTOR_STEPS)
         else:  # correct only the rows whose slopes were all regular
-            rows, res = np.flatnonzero(ok), np.full(len(x), np.inf)
-            x_new[rows], res[rows], ok[rows] = _newton_correct(
+            rows, res, J_new = np.flatnonzero(ok), np.full(len(x), np.inf), J.copy()
+            x_new[rows], res[rows], ok[rows], J_new[rows] = _newton_correct(
                 h, x_new[rows], t_new[rows], CORRECTOR_TOL, CORRECTOR_STEPS)
         ok &= np.logical_and.reduce(np.isfinite(x_new), axis=1)
         x = np.where(ok[:, None], x_new, x)
+        J = np.where(ok[:, None, None], J_new, J)
         stay = []
         for i, (p, step, accepted, t_next, norm, r) in enumerate(zip(
                 live, dt.tolist(), ok.tolist(), t_new.tolist(), row_norms(x).tolist(), res.tolist())):
@@ -218,11 +228,11 @@ def track_paths(h, starts):
                 continue
             stay.append(i)
         if len(stay) < len(live):
-            x, live = x[stay], [live[i] for i in stay]
+            x, J, live = x[stay], J[stay], [live[i] for i in stay]
 
     # final polish at t=0
     x = np.array([xp for _, xp in ends], dtype=complex).reshape(len(ends), x.shape[1])
-    x, res, ok = _newton_correct(h, x, np.zeros(len(ends)), CORRECTOR_TOL, POLISH_ITERS)
+    x, res, ok, _ = _newton_correct(h, x, np.zeros(len(ends)), CORRECTOR_TOL, POLISH_ITERS)
     for (p, _), xp, r, converged in zip(ends, x, res.tolist(), ok.tolist()):
         if not converged:
             xp, r = _gauss_newton_polish(h, xp)
@@ -243,11 +253,11 @@ def track_path(h, start):
 
 def _gauss_newton_polish(h, x):
     """Least-squares fallback at t=0 for singular endpoints."""
-    H = h.evaluate(x, 0.0)
+    H, J = h.evaluate_with_jacobian(x, 0.0)
     best, best_res = x, float(np.linalg.norm(H))
     for _ in range(LSTSQ_POLISH_ITERS):
-        x = x + lstsq(h.jacobian_x(x, 0.0), -H)
-        H = h.evaluate(x, 0.0)
+        x = x + lstsq(J.take(h.unknowns, axis=-1), -H)
+        H, J = h.evaluate_with_jacobian(x, 0.0)
         res = float(np.linalg.norm(H))
         if not np.isfinite(res):
             break
@@ -346,8 +356,9 @@ def newton_refine(sys, point):
         )
     x = np.asarray(point, dtype=complex).copy()
     for _ in range(REFINE_ITERS):
+        F, J = sys.compiled.evaluate_with_jacobian(x)
         try:
-            dx = solve_square(sys.jacobian(x), -sys.evaluate(x))
+            dx = solve_square(J, -F)
         except SingularMatrixError:
             return x, False
         x = x + dx

@@ -315,6 +315,9 @@ def test_compiled_kernels_on_a_stack_equal_the_per_point_calls(P):
     for point, value, jacobian in zip(stack, values, jacobians, strict=True):
         assert value.tobytes() == compiled.evaluate(point).tobytes()
         assert jacobian.tobytes() == compiled.jacobian(point).tobytes()
+        fused_value, fused_jacobian = compiled.evaluate_with_jacobian(point)
+        assert fused_value.tobytes() == value.tobytes()
+        assert fused_jacobian.tobytes() == jacobian.tobytes()
 
 
 def reference_kernel(stack, fvar, fexp, fterm, coeffs, entry, size):
@@ -366,6 +369,7 @@ def test_compiled_kernels_equal_the_reference_kernel_bit_for_bit(source):
         stack = edge_stack(rng, P, sys.arity)
         with np.errstate(all="ignore"):
             values, jacobians = compiled.evaluate(stack), compiled.jacobian(stack)
+            fused_values, fused_jacobians = compiled.evaluate_with_jacobian(stack)
             want_values = reference_kernel(stack, compiled.fvar, compiled.fexp, compiled.fterm,
                                            compiled.coeffs, compiled.rows, compiled.n_eqs)
             want_jacobians = reference_kernel(stack, compiled.jfvar, compiled.jfexp,
@@ -375,15 +379,20 @@ def test_compiled_kernels_equal_the_reference_kernel_bit_for_bit(source):
         assert jacobians.shape == (P, compiled.n_eqs, sys.arity)
         assert values.tobytes() == want_values.tobytes(), P
         assert jacobians.tobytes() == want_jacobians.tobytes(), P
+        # one call of the fused plan: the same shapes and bits as the two kernels
+        assert fused_values.shape == values.shape and fused_jacobians.shape == jacobians.shape
+        assert fused_values.tobytes() == want_values.tobytes(), P
+        assert fused_jacobians.tobytes() == want_jacobians.tobytes(), P
 
 
 def test_compiled_kernels_hold_indices_for_the_tallest_stack_only():
     sys = sixR_homotopy_system()
     compiled = CompiledSystem(sys.polynomials, sys.arity)
     stack = edge_stack(seeded_rng(18), 256, sys.arity)
-    # the per-point index arrays of the two kernels, at one point
-    one_point = sum(a.nbytes for a in (compiled.fterm, compiled.rows,
-                                       compiled.jfterm, compiled.jentry))
+    # the per-point index arrays of the two kernels, at one point, twice:
+    # the fused plan keeps both again
+    one_point = 2 * sum(a.nbytes for a in (compiled.fterm, compiled.rows,
+                                           compiled.jfterm, compiled.jentry))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -391,6 +400,7 @@ def test_compiled_kernels_hold_indices_for_the_tallest_stack_only():
             for P in range(256, 0, -1):
                 compiled.evaluate(stack[:P])
                 compiled.jacobian(stack[:P])
+                compiled.evaluate_with_jacobian(stack[:P])
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -68,8 +68,10 @@ def test_option_of_another_kind_is_rejected(tmp_path, fixture, flag, value):
     ("multiplicity_line", "--max-components", -2),
     ("posdim", "--tol-rank", 0),
     ("multiplicity_line", "--tol-rank", -0.5),
+    ("infinity_example", "--tol-infinity", 0),
+    ("infinity_example", "--tol-infinity", -0.5),
 ], ids=["max-components-0-posdim", "max-components-0-multiplicity", "max-components-negative",
-        "tol-rank-0", "tol-rank-negative"])
+        "tol-rank-0", "tol-rank-negative", "tol-infinity-0", "tol-infinity-negative"])
 def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     problem = FIXTURE_DIR / f"{fixture}.json"
     assert run_cli("recover", problem, flag, value, "--out-dir", tmp_path) == 1
@@ -79,15 +81,31 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     assert not (tmp_path / "study.csv").exists()
 
 
-@pytest.mark.parametrize("options", [{"max_components": 0}, {"tol_rank": 0.0}],
-                         ids=["max-components", "tol-rank"])
-def test_option_out_of_range_in_the_file_is_rejected(tmp_path, options):
-    doc = json.loads((FIXTURE_DIR / "posdim.json").read_text())
+@pytest.mark.parametrize("fixture, options", [
+    ("posdim", {"max_components": 0}),
+    ("posdim", {"tol_rank": 0.0}),
+    ("infinity_example", {"tol_infinity": 0.0}),
+], ids=["max-components", "tol-rank", "tol-infinity"])
+def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, options):
+    doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
     doc["options"] = options
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
     assert run_cli("recover", problem, "--out-dir", tmp_path) == 1
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, fixture, flag", [
+    ("recover", "posdim", "--tol-rank"),
+    ("recover", "infinity_example", "--tol-infinity"),
+    ("study", "posdim", "--sigma"),
+], ids=["tol-rank", "tol-infinity", "sigma"])
+def test_negative_value_in_exponent_form_reaches_the_range_check(tmp_path, capsys, command,
+                                                                 fixture, flag):
+    problem = FIXTURE_DIR / f"{fixture}.json"
+    assert run_cli(command, problem, flag, "-1e-6", "--out-dir", tmp_path) == 1
+    assert "must be a positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_override_changes_nothing_essential(tmp_path):
@@ -109,6 +127,14 @@ def test_study_single_sample_writes_one_row(tmp_path):
     assert lines[0] == "sample,status,p_hat1,p_hat2,p_star1,p_star2,distance,chi2stat"
     hist = json.loads((tmp_path / "hist.json").read_text())
     assert "bin_edges" in hist and "coordinates" in hist
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.1", "inf", "nan"])
+def test_study_rejects_a_sigma_that_is_not_positive_and_finite(tmp_path, sigma):
+    out = tmp_path / "out"
+    assert run_cli("study", FIXTURE_DIR / "posdim.json", "--n", 2, "--sigma", sigma,
+                   "--out-dir", out) == 1
+    assert not out.exists()
 
 
 def test_study_requires_nominal_point(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nearex.algebra import (
     seeded_rng,
     unit_complex,
 )
+from nearex import tracker
 from nearex.fixtures import load
 from nearex.structure import cluster_points
 from nearex.tracker import (
@@ -208,9 +210,12 @@ def test_h_t_is_bitwise_j_times_direction(monkeypatch):
                      unit_complex(rng, len(par)), unit_complex(rng, len(par)))
         x = unit_complex(rng, (P, len(h.unknowns)))
         t = rng.uniform(size=P)
-        _, Ht = h.jacobians(x, t)
+        Jx, Ht = h.jacobians(x, t)
         J = h.system.compiled.jacobian(h._full(x, t))
         assert Ht.tobytes() == (J @ h.direction).tobytes()
+        # the slope from the fused call's Jacobian, a view into its output
+        fused_Jx, fused_Ht = h.partials(h.evaluate_with_jacobian(x, t)[1])
+        assert fused_Jx.tobytes() == Jx.tobytes() and fused_Ht.tobytes() == Ht.tobytes()
 
     n = 48  # a 48 × 96 Jacobian: OpenBLAS threads its gemv
     polys = [f"x{i}^2 + p{i}*x{(i + 1) % n} - p{(i + 1) % n}^2*x{i} + 1" for i in range(n)]
@@ -218,10 +223,12 @@ def test_h_t_is_bitwise_j_times_direction(monkeypatch):
                          f"params {', '.join(f'p{i}' for i in range(n))}; "
                          + "".join(f"poly {q};" for q in polys))
     check(large, 1, 12)
-    assert gemvs == [(96, 48)]
+    assert gemvs == [(96, 48)] * 2  # H_t from the Jacobian call, then from the fused call
     small = parse_system("vars x, y; params p, q; poly p*x^2 - q*y + 1; poly x*y - p^2 + q^3*x;")
     check(small, 5, 13)
-    assert gemvs == [(96, 48)]
+    assert gemvs == [(96, 48)] * 2
+    check(large, 3, 14)  # the fused call's Jacobians of a stack are not one block
+    assert gemvs == [(96, 48)] * 8
 
 
 def reference_full(h, x, t):
@@ -273,28 +280,35 @@ def test_full_points_hold_a_scatter_for_the_tallest_stack_only():
     assert held <= 256 * h.unknowns.nbytes + 64 * 1024
 
 
-def test_newton_corrector_evaluates_h_once_per_iterate():
+def counted(calls, name, function):
+    """``function``, adding one to ``calls[name]`` at each call."""
+    def wrapper(*args):
+        calls[name] += 1
+        return function(*args)
+    return wrapper
+
+
+def test_newton_corrector_evaluates_h_once_per_iterate(monkeypatch):
     sys = parse_system("vars x, y; params p; poly x^2 + y^2 - p; poly x - y^3;")
     h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [2.0], [1.0])
     evaluate = h.evaluate
-    calls = {"evaluate": 0, "jacobian_x": 0}
+    calls = {"evaluate": 0, "fused": 0, "solve": 0}
+    h.evaluate = counted(calls, "evaluate", h.evaluate)
+    h.evaluate_with_jacobian = counted(calls, "fused", h.evaluate_with_jacobian)
+    monkeypatch.setattr(tracker, "solve_stack", counted(calls, "solve", tracker.solve_stack))
 
-    def counted(name, method):
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
+    def jacobian_at(x, t):
+        return sys.compiled.jacobian(h._full(x, t)).tobytes()
 
-    h.evaluate = counted("evaluate", h.evaluate)
-    h.jacobian_x = counted("jacobian_x", h.jacobian_x)
     for max_steps in (1, 3, 30):
-        calls.update(evaluate=0, jacobian_x=0)
-        x, res, ok = _newton_correct(h, np.array([[0.9 + 0.1j, 0.8]]), np.array([0.5]),
-                                     1e-12, max_steps)
-        iterates = calls["jacobian_x"]  # one Jacobian per Newton step
+        calls.update(fused=0, solve=0)
+        x, res, ok, J = _newton_correct(h, np.array([[0.9 + 0.1j, 0.8]]), np.array([0.5]),
+                                        1e-12, max_steps)
+        iterates = calls["solve"]  # one solve per Newton step
         assert 1 <= iterates <= max_steps
-        assert calls["evaluate"] == iterates + 1
+        assert calls["fused"] == iterates + 1
         assert res == float(np.linalg.norm(evaluate(x, 0.5)))
+        assert J.tobytes() == jacobian_at(x, np.array([0.5]))
     assert ok and res < 1e-12
 
     # two rows that converge at different iterates: each stops at its own,
@@ -302,17 +316,56 @@ def test_newton_corrector_evaluates_h_once_per_iterate():
     starts, ts = np.array([[0.9 + 0.1j, 0.8], [2.0 + 1.0j, 0.3]]), np.array([0.5, 0.3])
     alone = []
     for start, t in zip(starts, ts):
-        calls.update(evaluate=0, jacobian_x=0)
+        calls.update(fused=0, solve=0)
         alone.append(_newton_correct(h, start[None], np.array([t]), 1e-12, 30))
-        alone[-1] += (calls["jacobian_x"],)
-    assert alone[0][3] != alone[1][3]
-    calls.update(evaluate=0, jacobian_x=0)
-    x, res, ok = _newton_correct(h, starts, ts, 1e-12, 30)
-    assert calls["jacobian_x"] == max(a[3] for a in alone)
-    assert calls["evaluate"] == calls["jacobian_x"] + 1
-    for k, (xk, rk, okk, _) in enumerate(alone):
+        alone[-1] += (calls["solve"],)
+    assert alone[0][4] != alone[1][4]
+    calls.update(fused=0, solve=0)
+    x, res, ok, J = _newton_correct(h, starts, ts, 1e-12, 30)
+    assert calls["solve"] == max(a[4] for a in alone)
+    assert calls["fused"] == calls["solve"] + 1
+    for k, (xk, rk, okk, Jk, _) in enumerate(alone):
         assert x[k].tobytes() == xk[0].tobytes()
         assert res[k] == rk[0] and ok[k] == okk[0]
+        assert J[k].tobytes() == Jk[0].tobytes() == jacobian_at(x[k], ts[k])
+    assert calls["evaluate"] == 0  # H comes only from the fused calls
+
+
+def test_a_tracker_step_makes_three_jacobian_calls_and_one_fused_call_per_iterate(monkeypatch):
+    h, starts = total_degree_homotopy("vars x, y; poly x^2 + y^2 - 4; poly x*y - 1;")
+    calls = Counter()
+    for name in ("evaluate", "jacobian", "evaluate_with_jacobian"):
+        monkeypatch.setattr(CompiledSystem, name,
+                            counted(calls, name, getattr(CompiledSystem, name)))
+    monkeypatch.setattr(tracker, "solve_stack", counted(calls, "solve", tracker.solve_stack))
+    stages = []  # (stage, the calls it made) in order
+
+    def staged(name, function):
+        def wrapper(*args):
+            before = calls.copy()
+            out = function(*args)
+            stages.append((name, calls - before))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(tracker, "_predict_rk4", staged("predict", tracker._predict_rk4))
+    monkeypatch.setattr(tracker, "_newton_correct", staged("correct", tracker._newton_correct))
+    results = track_paths(h, starts)
+    assert {r.status for r in results} == {"success"}
+    # the start check, then per step: a prediction and a correction; then the polish
+    assert calls["evaluate_with_jacobian"] == 1 + sum(c["evaluate_with_jacobian"]
+                                                     for _, c in stages)
+    assert calls["evaluate"] == 0
+    names = [name for name, _ in stages]
+    steps = names.count("predict")
+    assert steps == max(r.steps for r in results) > 10
+    assert names == ["predict", "correct"] * steps + ["correct"]
+    for name, c in stages:
+        if name == "predict":  # k1 is the corrector's J: three of four slopes call the kernel
+            assert c == Counter(jacobian=3, solve=4)
+        else:
+            assert set(c) == {"evaluate_with_jacobian", "solve"}
+            assert c["evaluate_with_jacobian"] == 1 + c["solve"]
 
 
 def total_degree_homotopy(source, seed=0):
