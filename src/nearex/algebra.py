@@ -278,18 +278,17 @@ def _format_complex(c):
 class CompiledSystem:
     """Flat-array form of a polynomial list for fast evaluation and Jacobians.
 
-    A *factor* is a nonzero exponent of a term: ``fvar``, ``fexp`` and
-    ``fterm`` list them term by term, ``coeffs`` and ``rows`` give each
-    term's coefficient and equation, and the ``j``-prefixed arrays are the
-    same for the Jacobian's terms.  ``__init__`` builds one
-    :class:`SumOfProducts` plan from each set and a third from both, and
-    ``evaluate``, ``jacobian`` and ``evaluate_with_jacobian`` (values and
-    Jacobian in one call, where both are wanted at one point) run those
-    plans: one ``np.power`` per distinct
-    (indeterminate, exponent) pair, index arrays kept for the tallest stack
-    seen, and products and sums in ``np.multiply.at``/``np.add.at``, because
-    NumPy's vectorized complex multiply uses fused multiply-add and would
-    round a point of a stack differently from the point alone.
+    ``__init__`` lists each term's *factors* (its nonzero exponents, with
+    their indeterminate) from one exponent matrix, then one Jacobian term per
+    factor, and builds two :class:`SumOfProducts` plans: the Jacobian's
+    terms, and the values' terms followed by the Jacobian's.  ``jacobian``
+    runs the first, ``evaluate_with_jacobian`` the second, and ``evaluate``
+    returns the values of a fused call.  Each plan makes one ``np.power`` per
+    distinct (indeterminate, exponent) pair and keeps its index arrays for
+    the tallest stack seen; products and sums stay in
+    ``np.multiply.at``/``np.add.at``, because NumPy's vectorized complex
+    multiply uses fused multiply-add and would round a point of a stack
+    differently from the point alone.
     """
 
     def __init__(self, polynomials, arity):
@@ -306,12 +305,7 @@ class CompiledSystem:
         del exps  # (n_terms, arity): freed before the plans' own temporaries
         coeffs = np.fromiter((c for poly in polynomials for c in poly.terms.values()),
                              dtype=complex, count=n_terms)
-        # per-point arrays are rows, for numpy's same-shape fast path at one point
-        self.rows = np.repeat(np.arange(self.n_eqs, dtype=np.intp), counts)
-        self.coeffs = coeffs[None]
-        self.fvar = fvar
-        self.fexp = fexp.astype(complex)[None]  # power casts exponents to complex
-        self.fterm = fterm
+        rows = np.repeat(np.arange(self.n_eqs, dtype=np.intp), counts)
 
         # one Jacobian term per factor f: f's term differentiated in f's
         # indeterminate, whose factors are the term's with f lowered by one
@@ -324,47 +318,41 @@ class CompiledSystem:
         factor = np.repeat(first[fterm] - offsets, reps) + np.arange(len(jt))
         jexp = fexp[factor] - (factor == jt)
         kept = jexp != 0
-        self.jentry = self.rows[fterm] * arity + fvar
-        self.jcoeff = (coeffs[fterm] * self.fexp[0])[None]
-        self.jfvar = fvar[factor[kept]]
-        self.jfexp = jexp[kept].astype(complex)[None]
-        self.jfterm = jt[kept]
+        jentry = rows[fterm] * arity + fvar
+        jcoeff = (coeffs[fterm] * fexp.astype(complex))[None]  # a row, as plans take them
+        jfvar, jfexp, jfterm = fvar[factor[kept]], jexp[kept], jt[kept]
 
-        self.value_plan = SumOfProducts(self.fvar, fexp, self.fterm, self.coeffs,
-                                        self.rows, self.n_eqs)
-        self.jacobian_plan = SumOfProducts(self.jfvar, jexp[kept], self.jfterm, self.jcoeff,
-                                           self.jentry, self.n_eqs * arity)
+        self.jacobian_plan = SumOfProducts(jfvar, jfexp, jfterm, jcoeff, jentry,
+                                           self.n_eqs * arity)
         # both term lists in one plan, the Jacobian's entries after the values:
         # each entry gets its products and sums in the order it gets alone
         self.fused_plan = SumOfProducts(
-            np.concatenate([fvar, self.jfvar]), np.concatenate([fexp, jexp[kept]]),
-            np.concatenate([fterm, self.jfterm + n_terms]),
-            np.concatenate([self.coeffs, self.jcoeff], axis=1),
-            np.concatenate([self.rows, self.jentry + self.n_eqs]), self.n_eqs * (1 + arity))
-        self.coefficient_norm = float(np.linalg.norm(self.coeffs))
+            np.concatenate([fvar, jfvar]), np.concatenate([fexp, jfexp]),
+            np.concatenate([fterm, jfterm + n_terms]),
+            np.concatenate([coeffs[None], jcoeff], axis=1),
+            np.concatenate([rows, jentry + self.n_eqs]), self.n_eqs * (1 + arity))
+
+    def _stack(self, point):
+        """The leading shape of ``point`` and its rows as a ``(P, arity)`` stack."""
+        point = np.asarray(point, dtype=complex)
+        if point.shape[-1:] != (self.arity,):
+            raise ValueError(f"point shape {point.shape} does not end in arity {self.arity}")
+        return point.shape[:-1], point.reshape(-1, self.arity)
 
     def evaluate(self, point):
         """Values at one point, or at each row of a ``(P, arity)`` stack."""
-        point = np.asarray(point, dtype=complex)
-        if point.shape[-1] != self.arity:
-            raise ValueError(f"point length {point.shape[-1]} != arity {self.arity}")
-        out = self.value_plan(point.reshape(-1, self.arity))
-        return out.reshape(point.shape[:-1] + (self.n_eqs,))
+        return self.evaluate_with_jacobian(point)[0]
 
     def jacobian(self, point):
         """Jacobian at one point, or at each row of a ``(P, arity)`` stack."""
-        point = np.asarray(point, dtype=complex)
-        out = self.jacobian_plan(point.reshape(-1, self.arity))
-        return out.reshape(point.shape[:-1] + (self.n_eqs, self.arity))
+        lead, stack = self._stack(point)
+        return self.jacobian_plan(stack).reshape(lead + (self.n_eqs, self.arity))
 
     def evaluate_with_jacobian(self, point):
-        """``(evaluate(point), jacobian(point))`` bit for bit, from one plan call."""
-        point = np.asarray(point, dtype=complex)
-        if point.shape[-1] != self.arity:
-            raise ValueError(f"point length {point.shape[-1]} != arity {self.arity}")
-        stack = point.reshape(-1, self.arity)
+        """Values and Jacobian from one plan call: the Jacobian bit for bit
+        what ``jacobian`` returns."""
+        lead, stack = self._stack(point)
         out = self.fused_plan(stack).reshape(len(stack), self.fused_plan.size)
-        lead = point.shape[:-1]
         return (out[:, :self.n_eqs].reshape(lead + (self.n_eqs,)),
                 out[:, self.n_eqs:].reshape(lead + (self.n_eqs, self.arity)))
 
@@ -494,7 +482,9 @@ class PolySystem:
         return J if cols is None else J[:, list(cols)]
 
     def coefficient_norm(self):
-        return self.compiled.coefficient_norm
+        """Euclidean norm of all coefficients, in stored order; compiles nothing."""
+        coeffs = [c for poly in self.polynomials for c in poly.terms.values()]
+        return float(np.linalg.norm(np.array(coeffs, dtype=complex)))
 
     def substitute(self, values):
         """Fix indeterminates (index -> value); remaining ones keep their order."""

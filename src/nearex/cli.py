@@ -4,7 +4,10 @@
 validation and writes ``report.json`` plus ``points.csv`` (the classified
 detection points with residuals and homogenizing-coordinate magnitudes, for
 plotting).  Exit code 0 means a validated recovery, 2 a failed or
-non-validated recovery, 1 an input error (including a usage error).
+non-validated recovery, 1 an input error (including a usage error).  A
+recovery that fails before its descent, because detection found nothing to
+impose or no fiber product could be stabilized, still writes ``report.json``
+with its status and the reason.
 
 ``nearex study problem.json --n 500 --sigma 0.1`` repeats the recovery over
 Gaussian perturbations of the nominal parameters ``p_tilde`` and writes
@@ -27,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import StructureNotFoundError
+from .fiberprod import StabilizationError
 from .problem import ProblemError, ProblemFile
 from .recover import histogram_data, report, sample_study, study_csv
 
@@ -70,7 +74,7 @@ def build_parser():
 
 def _overrides(args):
     out = {}
-    for key in ("tol_rank", "tol_infinity", "max_components"):
+    for key in ("seed", "tol_rank", "tol_infinity", "max_components"):
         val = getattr(args, key)
         if val is not None:
             out[key] = val
@@ -137,10 +141,10 @@ def cmd_recover(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outcome = prob.run(seed=args.seed, overrides=_overrides(args))
-    except StructureNotFoundError as exc:
+        outcome = prob.run(overrides=_overrides(args))
+    except (StructureNotFoundError, StabilizationError) as exc:
         _write(out_dir / "report.json", _json_dump({
-            "problem": prob.name, "status": "structure-not-found",
+            "problem": prob.name, "status": exc.status,
             "validated": False, "detail": str(exc),
         }))
         print(f"recovery failed: {exc}", file=sys.stderr)
@@ -162,11 +166,11 @@ def cmd_study(args):
         raise ProblemError("--n must be at least 1")
     if not (np.isfinite(args.sigma) and args.sigma > 0):
         raise ProblemError(f"--sigma must be a positive finite number, got {args.sigma!r}")
+    overrides = _overrides(args)
+    # a bad option is rejected before the first sample; sample i runs at seed + i
+    base_seed = prob.options_with(overrides).get("seed", 0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overrides = _overrides(args)
-    prob.options_with(overrides)  # reject a bad option before the first sample
-    base_seed = args.seed if args.seed is not None else int(prob.options.get("seed", 0))
 
     def run_one(p_hat, sample_seed):
         shifted = dataclasses.replace(prob, p_hat=np.asarray(p_hat, dtype=complex))

@@ -14,7 +14,10 @@ One pipeline per structure kind:
 
 Every pipeline stabilizes a fiber product, even of one condition, then
 descends and validates through one shared tail; pipelines with several
-candidates keep the first validated outcome, else the last.
+candidates keep the first validated outcome, else the last.  A pipeline
+ends in :class:`StructureNotFoundError` when detection finds nothing to
+impose, and in a ``StabilizationError`` when its stabilization fails (the
+positive-dimensional pipeline tries its next candidate instead).
 
 Validation re-runs the detection at the recovered parameters with thresholds
 100× tighter than detection and reports pass/fail alongside the result.  It
@@ -40,6 +43,8 @@ from .algebra import (
     unit_complex,
 )
 from .fiberprod import (
+    HILBERT_PREFIX,
+    StabilizationError,
     StabilizeResult,
     build_hilbert_condition,
     build_infinity_condition,
@@ -47,7 +52,7 @@ from .fiberprod import (
     build_witness_condition,
     stabilize,
 )
-from .numlin import SingularMatrixError
+from .numlin import singular_values
 from .recover import RecoveryResult, build_lagrange, descend
 from .structure import (
     AMBIGUOUS,
@@ -72,6 +77,8 @@ TRACE_TOL = 1e-2  # a subset trace below this share of the trace scale is near z
 
 class StructureNotFoundError(RuntimeError):
     """Detection found nothing suspicious to impose."""
+
+    status = "structure-not-found"
 
 
 @dataclass
@@ -198,13 +205,10 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
         for cp, mv in zip(raw, moved):
             if not mv.success:
                 continue
-            norm = max(np.linalg.norm(mv.endpoint), 1e-300)
-            generic_mags = [abs(mv.endpoint[hi]) / norm for hi in positions]
-            if all(
-                m > infinity_tol / 10.0
-                for g, m in enumerate(generic_mags)
-                if cp.is_near_infinity(g)
-            ):
+            generic, = classify_infinity([ClassifiedPoint(point=mv.endpoint)], positions,
+                                         infinity_tol / 10.0)
+            if not any(generic.is_near_infinity(g) and cp.is_near_infinity(g)
+                       for g in range(len(positions))):
                 suspects.append(cp)
     suspects = _dedupe(suspects)
     if not suspects:
@@ -278,7 +282,7 @@ def _witness_candidates(ws):
     return _dedupe(cands)
 
 
-def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
+def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
                          rank_tol=None):
     """Impose that degree_d witness points of a D-dimensional set are exact."""
     p_hat = np.asarray(p_hat, dtype=complex)
@@ -300,7 +304,7 @@ def recover_positive_dim(f, p_hat, dim_D, degree_d, seed=0, n_trials=None,
 
                 try:
                     stab = _stabilize_copies(builder, p_hat, s0, n_trials, rank_tol)
-                except (RuntimeError, SingularMatrixError):
+                except StabilizationError:
                     continue
                 yield _descend_and_validate(
                     "positive_dim", stab, ws.points, s0, _validate_positive_dim,
@@ -406,7 +410,7 @@ def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
 # -- multiplicity ------------------------------------------------------------
 
 
-def recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0, n_trials=1,
+def recover_multiplicity(f, p_hat, prefix=HILBERT_PREFIX, dim_D=1, seed=0, n_trials=1,
                          rank_tol=None):
     """Impose a multiplicity-two component via a rank-deficient Jacobian."""
     p_hat = np.asarray(p_hat, dtype=complex)
@@ -455,7 +459,7 @@ def _validate_multiplicity(res, fiber, f, sliced_param, prefix, dim_D, seed):
     for cp in ws2.points:
         if not np.all(np.isfinite(cp.point)):
             continue
-        s = np.linalg.svd(ws2.sliced_system.jacobian(cp.point), compute_uv=False)
+        s = singular_values(ws2.sliced_system.jacobian(cp.point))
         if len(s) > 1:
             ratios.append(s[-1] / s[0])
         else:

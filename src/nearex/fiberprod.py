@@ -26,7 +26,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import DEFAULT_RANK_TOL, lstsq, null_space, numerical_rank
+from .numlin import DEFAULT_RANK_TOL, SingularMatrixError, lstsq, null_space, numerical_rank
 from .structure import trace_data
 from .tracker import Homotopy, track_paths
 
@@ -38,6 +38,15 @@ HILBERT = "hilbert"
 # Gauss-Newton refinement of a fiber-product point before its rank is read
 REFINE_TOL = 1e-9  # relative to 1 + the coefficient norm
 MAX_REFINE = 60
+
+HILBERT_PREFIX = (1, 1)  # the one local Hilbert function prefix a condition imposes
+
+
+class StabilizationError(RuntimeError):
+    """A stabilization trial could not be built or measured, as when a
+    slice-moving path fails or a start point cannot be refined."""
+
+    status = "stabilization-failed"
 
 
 def stack(systems):
@@ -81,10 +90,6 @@ class ConditionSystem:
     @property
     def block_size(self):
         return len(self.system.indices(VARIABLE, AUXILIARY))
-
-    @property
-    def n_equations(self):
-        return len(self.system.polynomials)
 
 
 class FiberProductSystem:
@@ -282,24 +287,19 @@ def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
 
 
 def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
-    """Condition: a rank-deficient Jacobian of the sliced system (prefix (1,1)).
+    """Condition: a rank-deficient Jacobian of the sliced system.
 
-    For the local Hilbert function prefix (1, 1) the null-space condition
-    collapses to ``J f_sliced(x;p) · R₁ · [λ; 1] = 0`` with a generic unitary
-    R₁ and auxiliary λ.  Longer prefixes are not supported.
+    For the local Hilbert function prefix :data:`HILBERT_PREFIX`, (1, 1), the
+    null-space condition collapses to ``J f_sliced(x;p) · R₁ · [λ; 1] = 0``
+    with a generic unitary R₁ and auxiliary λ.  No other prefix is supported.
     """
-    prefix = list(hilbert_prefix)
-    if not prefix or prefix[0] != 1:
-        raise ValueError("local Hilbert prefix must start with h(0)=1")
-    if prefix[1:] != [1]:
-        raise ValueError("only the multiplicity-two prefix (1, 1) is supported")
+    if tuple(hilbert_prefix) != HILBERT_PREFIX:
+        raise ValueError(f"only the multiplicity-two prefix {HILBERT_PREFIX} is supported")
     var = f_sliced.indices(VARIABLE, AUXILIARY)
     par = f_sliced.indices(PARAMETER)
     n = len(var)
     if len(f_sliced.polynomials) != n:
         raise ValueError("sliced system must be square in its variables")
-    if prefix[1] > n:
-        raise ValueError(f"h(1)={prefix[1]} exceeds the variable count {n}")
     rng = seeded_rng(seed, 17)
     # random unitary via QR of a complex Gaussian matrix
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -400,7 +400,9 @@ def stabilize(builder, candidates, p_hat, tol=None,
     product, so an append that does not drop the dimension is discarded as a
     dependent condition.  With ``stop_on_plateau`` the scan ends at the first
     non-dropping append; otherwise every candidate is tried.  A ``tol`` of
-    None (or 0) means ``DEFAULT_RANK_TOL``.
+    None (or 0) means ``DEFAULT_RANK_TOL``.  A trial whose condition or image
+    dimension cannot be computed ends the scan in a
+    :class:`StabilizationError`.
     """
     tol = tol or DEFAULT_RANK_TOL
     candidates = list(candidates)
@@ -409,11 +411,14 @@ def stabilize(builder, candidates, p_hat, tol=None,
     best = best_dim = trial = None
     dims, sizes, accepted = [], [], []
     for i, cand in enumerate(candidates):
-        comp = builder(cand, seed + 1000 * (i + 1))
         base = trial if cumulative else best
-        trial = (FiberProductSystem([comp], p_hat) if base is None
-                 else base.with_component(comp))
-        dim, _ = image_dimension(trial, tol=tol)
+        try:
+            comp = builder(cand, seed + 1000 * (i + 1))
+            trial = (FiberProductSystem([comp], p_hat) if base is None
+                     else base.with_component(comp))
+            dim, _ = image_dimension(trial, tol=tol)
+        except (RuntimeError, SingularMatrixError) as exc:
+            raise StabilizationError(f"trial {i + 1}: {exc}") from exc
         dims.append(dim)
         sizes.append(trial.system_size())
         dropped = best_dim is None or dim < best_dim

@@ -63,30 +63,9 @@ P_STAR = {
     ]),
 }
 
-# module attribute -> (fixture, field), read from the file on first use
-_FROM_FILES = {
-    "DOUBLE_ROOT_SOURCE": ("double_root", "source"),
-    "DOUBLE_ROOT_P_HAT": ("double_root", "p_hat"),
-    "ZEKE_SOURCE": ("zeke_quartic", "source"),
-    "ZEKE_P_HAT": ("zeke_quartic", "p_hat"),
-    "MULTIPLICITY_SOURCE": ("multiplicity_line", "source"),
-}
-
-
-def _problem(name):
-    return ProblemFile.load(FIXTURE_DIR / f"{name}.json")
-
 
 def _real(values):
     return None if values is None else np.array(values.real)
-
-
-def __getattr__(attr):
-    if attr not in _FROM_FILES:
-        raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
-    name, field = _FROM_FILES[attr]
-    prob = _problem(name)
-    return prob.source if field == "source" else _real(prob.p_hat)
 
 
 def load(name):
@@ -97,5 +76,5 @@ def load(name):
     """
     if name not in P_STAR:
         raise KeyError(f"unknown fixture {name!r}")
-    prob = _problem(name)
+    prob = ProblemFile.load(FIXTURE_DIR / f"{name}.json")
     return prob.build_system(), _real(prob.p_tilde), _real(prob.p_hat), P_STAR[name]

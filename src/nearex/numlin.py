@@ -1,8 +1,9 @@
 """Dense complex linear algebra with explicit rank decisions.
 
 Wrappers over LAPACK and BLAS that make the numerical-rank tolerance policy
-of the package explicit in one place.  LAPACK is SciPy's; so is BLAS at the
-sizes OpenBLAS threads (below).
+of the package explicit in one place: every rank the package reads, from a
+matrix or from its singular values, is decided by :func:`rank_cut`.  LAPACK
+is SciPy's; so is BLAS at the sizes OpenBLAS threads (below).
 
 Square solves call LAPACK ``zgetrf``/``zgetrs`` directly, a matrix at a time:
 bitwise what ``scipy.linalg.lu_factor``/``lu_solve`` wrap, without SciPy's
@@ -118,12 +119,16 @@ def singular_values(A):
     return scipy.linalg.svdvals(A, check_finite=False)
 
 
+def rank_cut(s, tol=DEFAULT_RANK_TOL, scale=0.0):
+    """The rank decision: how many of the singular values ``s`` (largest
+    first) exceed ``tol`` times the larger of the largest one and ``scale``,
+    an absolute floor for a matrix whose own norm may be near zero."""
+    return int(np.count_nonzero(s > tol * max(s[0] if s.size else 0.0, scale)))
+
+
 def numerical_rank(A, tol=DEFAULT_RANK_TOL):
     """Number of singular values above ``tol`` times the largest one."""
-    s = singular_values(A)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return rank_cut(singular_values(A), tol)
 
 
 def null_space(A, tol=DEFAULT_RANK_TOL):
@@ -132,8 +137,7 @@ def null_space(A, tol=DEFAULT_RANK_TOL):
     if A.size == 0:
         return np.eye(A.shape[1] if A.ndim == 2 else 0, dtype=complex)
     U, s, Vh = scipy.linalg.svd(A, full_matrices=True, check_finite=False)
-    rank = 0 if s.size == 0 or s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
-    return Vh[rank:].conj().T
+    return Vh[rank_cut(s, tol):].conj().T
 
 
 def lstsq(A, b):

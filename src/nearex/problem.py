@@ -14,31 +14,45 @@ Schema::
                   "max_components": ...}
     }
 
-Kind-specific fields: ``infinity``: ``groups`` (lists of variable names,
-default one group of all variables); ``positive_dim``: ``dim``, ``degree``;
-``factor``: ``dim``, ``subset_size``; ``multiplicity``: ``prefix``, ``dim``.
-All kinds but ``infinity`` accept ``max_components`` via options to pin the
-number of stabilization trials; ``infinity`` imposes one condition per suspect
-solution, so setting it there is an error; ``tol_infinity`` applies to
-``infinity`` only and is an error for every other kind.  ``tol_rank`` is the
-rank tolerance of every image dimension.  A ``max_components`` below 1, and a
-``tol_rank`` or ``tol_infinity`` that is not a positive number, are errors.
+Kind-specific fields, for n unknowns: ``infinity``: ``groups`` (lists of
+variable names that partition the variables; default one group);
+``positive_dim``: ``dim`` (1 to n − 1), ``degree`` (at least 1); ``factor``:
+``dim`` (1), ``subset_size`` (at least 1); ``multiplicity``: ``prefix`` (only
+``[1, 1]``), ``dim`` (0 to n − 1).  Options: ``seed`` (at least 0);
+``tol_rank``, the rank tolerance of every image dimension; ``tol_infinity``
+(``infinity`` only); ``max_components`` (at least 1, pins the number of
+stabilization trials; not for ``infinity``, which imposes one condition per
+suspect solution).  Counts are whole numbers, tolerances positive finite
+numbers.  What is left out, or null, keeps the pipeline's default; anything
+else, such as an unknown field or option or a value out of range, is a
+:class:`ProblemError` when the file is loaded, before any detection.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine
-from .algebra import parse_system
-from .structure import INFINITY_NEAR_TOL
+from .algebra import AUXILIARY, VARIABLE, parse_system
+from .fiberprod import HILBERT_PREFIX
+from .recover import json_number
 
-KINDS = ("infinity", "positive_dim", "factor", "multiplicity")
+# per kind: the pipeline, and the keyword each structure field is passed as
+PIPELINES = {
+    "infinity": (engine.recover_infinity, {"groups": "groups"}),
+    "positive_dim": (engine.recover_positive_dim, {"dim": "dim_D", "degree": "degree_d"}),
+    "factor": (engine.recover_factor, {"dim": "dim_D", "subset_size": "subset_size"}),
+    "multiplicity": (engine.recover_multiplicity, {"prefix": "prefix", "dim": "dim_D"}),
+}
+OPTIONS = {"seed": "seed", "tol_rank": "rank_tol", "tol_infinity": "infinity_tol",
+           "max_components": "n_trials"}
+TOP_LEVEL = ("name", "system", "p_hat", "p_tilde", "structure", "options")
 
 
 class ProblemError(ValueError):
@@ -63,9 +77,22 @@ def _complex_list(values, what):
     return np.array(out, dtype=complex)
 
 
-def _json_number(z):
-    z = complex(z)
-    return z.real if z.imag == 0 else [z.real, z.imag]
+def _check_whole(name, value, least, most=None):
+    """Reject a ``value`` that is not an int (a bool is not) from ``least``
+    to ``most``; None passes, as a field left out."""
+    if value is None or (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                         and least <= value and (most is None or value <= most)):
+        return
+    bounds = f"at least {least}" if most is None else f"from {least} to {most}"
+    raise ProblemError(f"{name} must be a whole number {bounds}, got {value!r}")
+
+
+def _partitions(groups, variables):
+    """Whether ``groups`` is a list of nonempty lists naming each variable once."""
+    if not (isinstance(groups, list) and all(isinstance(g, list) and g for g in groups)):
+        return False
+    names = [nm for g in groups for nm in g]
+    return all(isinstance(nm, str) for nm in names) and sorted(names) == sorted(variables)
 
 
 @dataclass
@@ -80,17 +107,7 @@ class ProblemFile:
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        return (
-            self.source == other.source
-            and np.array_equal(self.p_hat, other.p_hat)
-            and self.structure == other.structure
-            and (
-                (self.p_tilde is None) == (other.p_tilde is None)
-                and (self.p_tilde is None or np.array_equal(self.p_tilde, other.p_tilde))
-            )
-            and self.options == other.options
-            and self.name == other.name
-        )
+        return self.to_dict() == other.to_dict()
 
     @property
     def kind(self):
@@ -106,9 +123,12 @@ class ProblemFile:
             raise ProblemError(f"missing required field {exc.args[0]!r}") from None
         except TypeError:
             raise ProblemError("problem file must be a JSON object") from None
+        unknown = sorted(set(data) - set(TOP_LEVEL))
+        if unknown:
+            raise ProblemError(f"unknown field(s) {unknown}; a problem file has {TOP_LEVEL}")
         kind = structure.get("kind")
-        if kind not in KINDS:
-            raise ProblemError(f"structure.kind must be one of {KINDS}, got {kind!r}")
+        if kind not in PIPELINES:
+            raise ProblemError(f"structure.kind must be one of {tuple(PIPELINES)}, got {kind!r}")
         p_tilde = data.get("p_tilde")
         if p_tilde is not None:
             p_tilde = _complex_list(p_tilde, "p_tilde")
@@ -120,7 +140,8 @@ class ProblemFile:
             options=dict(data.get("options", {})),
             name=data.get("name", ""),
         )
-        prob.build_system()  # validate eagerly: parse + name checks
+        prob.build_system()  # validate eagerly: parse, structure and options
+        prob.options_with()
         return prob
 
     @classmethod
@@ -140,31 +161,46 @@ class ProblemFile:
         data = {
             "name": self.name,
             "system": self.source,
-            "p_hat": [_json_number(z) for z in self.p_hat],
+            "p_hat": [json_number(z) for z in self.p_hat],
             "structure": self.structure,
             "options": self.options,
         }
         if self.p_tilde is not None:
-            data["p_tilde"] = [_json_number(z) for z in self.p_tilde]
+            data["p_tilde"] = [json_number(z) for z in self.p_tilde]
         return data
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def build_system(self):
-        """The parsed system, checked against ``p_hat`` and the groups.  A
-        source text is parsed once and then read from a small cache, so the
-        samples of a study (copies with another ``p_hat``) share one parse."""
+        """The parsed system, checked against ``p_hat`` and the structure's
+        fields.  A source text is parsed once and then read from a small
+        cache, so the samples of a study (copies with another ``p_hat``)
+        share one parse."""
         system = _parse(self.source)
         n_par = len(system.indices("parameter"))
         if len(self.p_hat) != n_par:
             raise ProblemError(
                 f"p_hat has {len(self.p_hat)} entries, system declares {n_par} parameters"
             )
-        for g in self.structure.get("groups") or []:
-            for nm in g:
-                if nm not in system.names:
-                    raise ProblemError(f"unknown variable {nm!r} in groups")
+        st = self.structure
+        unknown = sorted(set(st) - set(PIPELINES[self.kind][1]) - {"kind"})
+        if unknown:
+            raise ProblemError(f"unknown field(s) {unknown} for a {self.kind} structure")
+        n = len(system.indices(VARIABLE, AUXILIARY))
+        _check_whole("dim", st.get("dim"), 0 if self.kind == "multiplicity" else 1,
+                     1 if self.kind == "factor" else n - 1)
+        _check_whole("degree", st.get("degree"), 1)
+        _check_whole("subset_size", st.get("subset_size"), 1)
+        prefix = st.get("prefix")
+        if prefix is not None and not (isinstance(prefix, (list, tuple))
+                                       and tuple(prefix) == HILBERT_PREFIX):
+            raise ProblemError(f"prefix must be {list(HILBERT_PREFIX)}, the one supported, "
+                               f"got {prefix!r}")
+        variables = [system.names[i] for i in system.indices(VARIABLE)]
+        if st.get("groups") is not None and not _partitions(st["groups"], variables):
+            raise ProblemError(f"groups must be lists of variable names that partition "
+                               f"{variables}, got {st['groups']!r}")
         return system
 
     def options_with(self, overrides=None):
@@ -172,52 +208,32 @@ class ProblemFile:
         and against the values a run can use."""
         opts = dict(self.options)
         opts.update(overrides or {})
-        n_trials = opts.get("max_components")
-        if self.kind == "infinity" and n_trials is not None:
+        unknown = sorted(set(opts) - set(OPTIONS))
+        if unknown:
+            raise ProblemError(f"unknown option(s) {unknown}; options are {tuple(OPTIONS)}")
+        if self.kind == "infinity" and opts.get("max_components") is not None:
             raise ProblemError("max_components does not apply to an infinity problem")
         if self.kind != "infinity" and opts.get("tol_infinity") is not None:
             raise ProblemError(f"tol_infinity does not apply to a {self.kind} problem")
-        if n_trials is not None and not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
-            raise ProblemError(f"max_components must be a whole number of at least 1, "
-                               f"got {n_trials!r}")
+        _check_whole("seed", opts.get("seed"), 0)
+        _check_whole("max_components", opts.get("max_components"), 1)
         for name in ("tol_rank", "tol_infinity"):
             tol = opts.get(name)
-            if tol is not None and not (isinstance(tol, numbers.Real) and tol > 0):
-                raise ProblemError(f"{name} must be a positive number, got {tol!r}")
+            if tol is not None and not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+                raise ProblemError(f"{name} must be a positive finite number, got {tol!r}")
         return opts
 
     def run(self, seed=None, overrides=None):
-        """Dispatch to the matching recovery pipeline; returns a RunOutcome."""
+        """Run the kind's recovery pipeline; returns a RunOutcome.  Each
+        structure field and option reaches the pipeline as its keyword, and
+        ``seed`` replaces the options' seed; what is left out keeps the
+        pipeline's default."""
         system = self.build_system()
         opts = self.options_with(overrides)
-        if seed is None:
-            seed = int(opts.get("seed", 0))
-        kw = {"seed": seed}
-        if opts.get("tol_rank") is not None:
-            kw["rank_tol"] = float(opts["tol_rank"])
-        n_trials = opts.get("max_components")
-        st = self.structure
-        kind = st["kind"]
-        if kind == "infinity":
-            return engine.recover_infinity(
-                system, self.p_hat, groups=st.get("groups"),
-                infinity_tol=float(opts.get("tol_infinity", INFINITY_NEAR_TOL)),
-                **kw,
-            )
-        if kind == "positive_dim":
-            return engine.recover_positive_dim(
-                system, self.p_hat, dim_D=int(st.get("dim", 1)),
-                degree_d=int(st.get("degree", 1)), n_trials=n_trials, **kw,
-            )
-        if kind == "factor":
-            return engine.recover_factor(
-                system, self.p_hat, dim_D=int(st.get("dim", 1)),
-                subset_size=st.get("subset_size"), n_trials=n_trials, **kw,
-            )
-        if kind == "multiplicity":
-            return engine.recover_multiplicity(
-                system, self.p_hat, prefix=tuple(st.get("prefix", (1, 1))),
-                dim_D=int(st.get("dim", 1)),
-                n_trials=1 if n_trials is None else n_trials, **kw,
-            )
-        raise ProblemError(f"unknown structure kind {kind!r}")
+        if seed is not None:
+            opts["seed"] = seed
+        pipeline, fields = PIPELINES[self.kind]
+        kw = {OPTIONS[k]: v for k, v in opts.items() if v is not None}
+        kw.update((fields[k], v) for k, v in self.structure.items()
+                  if k != "kind" and v is not None)
+        return pipeline(system, self.p_hat, **kw)

@@ -191,10 +191,10 @@ def report(result, fiber, extra=None):
     """Structured JSON-ready report of a recovery run."""
     doc = {
         "status": result.status,
-        "p_hat": _cseq(fiber.p_hat),
-        "p_star": _cseq(result.p_star),
+        "p_hat": [json_number(z) for z in fiber.p_hat],
+        "p_star": [json_number(z) for z in result.p_star],
         "distance": result.distance,
-        "deltas": _cseq(result.deltas),
+        "deltas": [json_number(z) for z in result.deltas],
         "residual_fiber": result.residual_fiber,
         "residual_critical": result.residual_critical,
         "path_steps": result.track.steps,
@@ -209,12 +209,10 @@ def report(result, fiber, extra=None):
     return doc
 
 
-def _cseq(values):
-    out = []
-    for v in np.asarray(values).tolist():
-        v = complex(v)
-        out.append(v.real if v.imag == 0 else [v.real, v.imag])
-    return out
+def json_number(z):
+    """A complex number as JSON: its real part when it is real, else [re, im]."""
+    z = complex(z)
+    return z.real if z.imag == 0 else [z.real, z.imag]
 
 
 def sample_study(run_one, p_tilde, sigma, n, seed=0):

@@ -24,7 +24,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, singular_values, solve_square
+from .numlin import SingularMatrixError, rank_cut, singular_values, solve_square
 from .tracker import solve_total_degree
 
 NEAR_SOLUTION_TOL = 1e-4
@@ -348,9 +348,7 @@ def local_hilbert(f, x_star, d_max=8):
     scale = max(f.coefficient_norm(), 1.0) * (1.0 + np.linalg.norm(x_star)) ** deg
     for d in range(d_max + 1):
         M = macaulay_matrix(f, x_star, d)
-        s = singular_values(M)
-        cutoff = HILBERT_RANK_TOL * max(s[0] if s.size else 0.0, scale)
-        nd = M.shape[1] - int(np.count_nonzero(s > cutoff))
+        nd = M.shape[1] - rank_cut(singular_values(M), HILBERT_RANK_TOL, scale)
         h.append(nd - prev)
         prev = nd
         if d == 0 and h[0] != 1:

@@ -26,15 +26,7 @@ from nearex.fiberprod import (
     build_witness_condition,
     image_dimension,
 )
-from nearex.fixtures import (
-    DOUBLE_ROOT_ONE_PARAM,
-    DOUBLE_ROOT_P_HAT,
-    DOUBLE_ROOT_SOURCE,
-    DOUBLE_ROOT_TWO_PARAM,
-    ZEKE_P_HAT,
-    ZEKE_SOURCE,
-    load,
-)
+from nearex.fixtures import DOUBLE_ROOT_ONE_PARAM, DOUBLE_ROOT_TWO_PARAM, load
 from nearex.problem import ProblemFile
 from nearex.recover import build_lagrange, descend, sample_study
 from nearex.structure import (
@@ -48,6 +40,7 @@ from nearex.structure import (
 from nearex.tracker import newton_refine, solve_total_degree
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DOUBLE_ROOT, _, DOUBLE_ROOT_P_HAT, _ = load("double_root")
 
 
 def _elapsed(t0):
@@ -59,7 +52,7 @@ def _elapsed(t0):
 
 def test_double_root_newton_and_two_parameter_descent():
     t0 = time.monotonic()
-    f = parse_system(DOUBLE_ROOT_SOURCE)
+    f = DOUBLE_ROOT
     df = f.polynomials[0].diff(0)
     both = f.with_polynomials([f.polynomials[0], df])
 
@@ -128,7 +121,7 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
     f, _, p_hat, p_star = load("zeke_quartic")
 
     # the four published curve second derivatives on the fixed slice
-    sq_src = parse_system(ZEKE_SOURCE).substitute_params(ZEKE_P_HAT)
+    sq_src = f.substitute_params(p_hat)
     n = sq_src.arity
     sl = (Polynomial.variable(0, n, 2.0) + Polynomial.variable(1, n, -3.0)
           + Polynomial.constant(-1.0, n))
@@ -277,7 +270,7 @@ def test_path_counts_derivative_tables_monotonicity_and_determinism():
     # gradient rows of the critical-point system match finite differences
     from nearex.fiberprod import ConditionSystem
 
-    base = parse_system(DOUBLE_ROOT_SOURCE)
+    base = DOUBLE_ROOT
     both = base.with_polynomials([base.polynomials[0],
                                   base.polynomials[0].diff(0)])
     comp = ConditionSystem(kind="witness", system=both,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nearex.algebra
 from nearex.algebra import (
     AUXILIARY,
     PARAMETER,
@@ -11,6 +12,7 @@ from nearex.algebra import (
     ParseError,
     Polynomial,
     PolySystem,
+    SumOfProducts,
     VARIABLE,
     format_polynomial,
     format_system,
@@ -217,12 +219,11 @@ def test_format_polynomial_is_parseable_with_complex_coefficients():
 
 # -- compiled arrays ---------------------------------------------------------
 
-COMPILED_ARRAYS = ("rows", "coeffs", "fvar", "fexp", "fterm",
-                   "jentry", "jcoeff", "jfvar", "jfexp", "jfterm")
-
-
 def reference_arrays(polynomials, arity):
-    """The compiled arrays built term by term and exponent by exponent."""
+    """The arrays a compile lays out, built term by term and exponent by
+    exponent: each term's row, coefficient and factors (indeterminate,
+    exponent, term), then the same for the Jacobian's terms, whose rows are
+    flat (row, column) entries."""
     rows, coeffs, fvar, fexp, fterm = [], [], [], [], []
     t = 0
     for r, poly in enumerate(polynomials):
@@ -252,20 +253,47 @@ def reference_arrays(polynomials, arity):
                         jfexp.append(k2)
                         jfterm.append(jt)
                 jt += 1
-    index = {"rows": rows, "fvar": fvar, "fterm": fterm, "jfvar": jfvar, "jfterm": jfterm}
-    row = {"coeffs": coeffs, "fexp": fexp, "jcoeff": jcoeff, "jfexp": jfexp}
+    index = {"rows": rows, "fvar": fvar, "fexp": fexp, "fterm": fterm,
+             "jfvar": jfvar, "jfexp": jfexp, "jfterm": jfterm}
     out = {name: np.asarray(v, dtype=np.intp) for name, v in index.items()}
-    out.update({name: np.asarray(v, dtype=complex)[None] for name, v in row.items()})
+    out.update({name: np.asarray(v, dtype=complex)[None]
+                for name, v in (("coeffs", coeffs), ("jcoeff", jcoeff))})
     out["jentry"] = np.asarray(jrow, dtype=np.intp) * arity + np.asarray(jcol, dtype=np.intp)
     return out
 
 
+def reference_plans(polynomials, arity):
+    """The two plans of a compile, built from :func:`reference_arrays`: the
+    Jacobian's terms, and the values' terms followed by the Jacobian's."""
+    a = reference_arrays(polynomials, arity)
+    n_eqs, n_terms = len(polynomials), a["coeffs"].shape[1]
+    jacobian = SumOfProducts(a["jfvar"], a["jfexp"], a["jfterm"], a["jcoeff"], a["jentry"],
+                             n_eqs * arity)
+    fused = SumOfProducts(
+        np.concatenate([a["fvar"], a["jfvar"]]), np.concatenate([a["fexp"], a["jfexp"]]),
+        np.concatenate([a["fterm"], a["jfterm"] + n_terms]),
+        np.concatenate([a["coeffs"], a["jcoeff"]], axis=1),
+        np.concatenate([a["rows"], a["jentry"] + n_eqs]), n_eqs * (1 + arity))
+    return {"jacobian_plan": jacobian, "fused_plan": fused}
+
+
+def plan_arrays(plan):
+    """Everything a plan runs on: from these, every reference array is read
+    back (``var[gather]`` and ``exp[gather]`` are the factor lists)."""
+    return {"var": plan.var, "exp": plan.exp, "gather": plan.gather, "coeffs": plan.coeffs,
+            "terms": plan.terms.index, "entries": plan.entries.index,
+            "shape": np.array([plan.size, plan.terms.stride, plan.entries.stride])}
+
+
 def assert_compiles_like_reference(polynomials, arity):
     compiled = CompiledSystem(polynomials, arity)
-    for name, want in reference_arrays(polynomials, arity).items():
-        got = getattr(compiled, name)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
+    assert set(vars(compiled)) == {"arity", "n_eqs", "jacobian_plan", "fused_plan"}
+    for name, want_plan in reference_plans(polynomials, arity).items():
+        got_plan = getattr(compiled, name)
+        for key, want in plan_arrays(want_plan).items():
+            got = plan_arrays(got_plan)[key]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, key)
+            assert got.tobytes() == want.tobytes(), (name, key)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -304,6 +332,40 @@ def test_compiled_arrays_equal_the_term_loop_on_edge_cases():
         assert_compiles_like_reference(polys, arity)
 
 
+def test_a_compile_builds_two_plans(monkeypatch):
+    built = []
+
+    class CountedPlan(SumOfProducts):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(nearex.algebra, "SumOfProducts", CountedPlan)
+    sys = sixR_homotopy_system()
+    compiled = CompiledSystem(sys.polynomials, sys.arity)
+    assert built == [compiled.jacobian_plan, compiled.fused_plan]
+
+
+def test_every_kernel_checks_the_point_shape():
+    compiled = PolySystem([random_poly(seeded_rng(8), 4)], [VARIABLE] * 4,
+                          ["a", "b", "c", "d"]).compiled
+    for kernel in (compiled.evaluate, compiled.jacobian, compiled.evaluate_with_jacobian):
+        for point in (np.ones(3), np.ones(8), np.ones((2, 5)), np.array(1.0)):
+            with pytest.raises(ValueError, match="arity 4"):
+                kernel(point)
+
+
+def test_coefficient_norm_compiles_nothing():
+    systems = [ProblemFile.load(path).build_system() for path in sorted(FIXTURE_DIR.glob("*.json"))]
+    systems += [sixR_homotopy_system(), PolySystem([], [VARIABLE], ["x"])]
+    for sys in systems:
+        fresh = PolySystem(sys.polynomials, sys.roles, sys.names)  # parses are shared
+        # the norm a compile took of its coefficient row, bit for bit
+        want = float(np.linalg.norm(reference_arrays(sys.polynomials, sys.arity)["coeffs"]))
+        assert np.float64(fresh.coefficient_norm()).tobytes() == np.float64(want).tobytes()
+        assert fresh._compiled is None
+
+
 @pytest.mark.parametrize("P", [1, 3, 0])
 def test_compiled_kernels_on_a_stack_equal_the_per_point_calls(P):
     rng = seeded_rng(9, P)
@@ -328,7 +390,7 @@ def reference_kernel(stack, fvar, fexp, fterm, coeffs, entry, size):
     mono.fill(1.0)
     if fvar.size:
         factors = stack.take(fvar, axis=1)
-        np.power(factors, fexp, out=factors)
+        np.power(factors, fexp.astype(complex), out=factors)
         np.multiply.at(mono.reshape(-1), per_point(fterm, P, n_terms), factors.reshape(-1))
     np.multiply(coeffs, mono, out=mono)
     out = np.zeros(P * size, dtype=complex)
@@ -364,16 +426,17 @@ def test_compiled_kernels_equal_the_reference_kernel_bit_for_bit(source):
     sys = (sixR_homotopy_system() if source == "sixR-homotopy"
            else ProblemFile.load(source).build_system())
     compiled = CompiledSystem(sys.polynomials, sys.arity)
+    a = reference_arrays(sys.polynomials, sys.arity)
     rng = seeded_rng(17)
     for P in HEIGHTS:
         stack = edge_stack(rng, P, sys.arity)
         with np.errstate(all="ignore"):
             values, jacobians = compiled.evaluate(stack), compiled.jacobian(stack)
             fused_values, fused_jacobians = compiled.evaluate_with_jacobian(stack)
-            want_values = reference_kernel(stack, compiled.fvar, compiled.fexp, compiled.fterm,
-                                           compiled.coeffs, compiled.rows, compiled.n_eqs)
-            want_jacobians = reference_kernel(stack, compiled.jfvar, compiled.jfexp,
-                                              compiled.jfterm, compiled.jcoeff, compiled.jentry,
+            want_values = reference_kernel(stack, a["fvar"], a["fexp"], a["fterm"],
+                                           a["coeffs"], a["rows"], compiled.n_eqs)
+            want_jacobians = reference_kernel(stack, a["jfvar"], a["jfexp"], a["jfterm"],
+                                              a["jcoeff"], a["jentry"],
                                               compiled.n_eqs * sys.arity)
         assert values.shape == (P, compiled.n_eqs)
         assert jacobians.shape == (P, compiled.n_eqs, sys.arity)
@@ -389,10 +452,12 @@ def test_compiled_kernels_hold_indices_for_the_tallest_stack_only():
     sys = sixR_homotopy_system()
     compiled = CompiledSystem(sys.polynomials, sys.arity)
     stack = edge_stack(seeded_rng(18), 256, sys.arity)
-    # the per-point index arrays of the two kernels, at one point, twice:
-    # the fused plan keeps both again
-    one_point = 2 * sum(a.nbytes for a in (compiled.fterm, compiled.rows,
-                                           compiled.jfterm, compiled.jentry))
+    # the per-point index arrays of the two plans at one point: the fused
+    # plan's hold the values' terms and the Jacobian's, the Jacobian plan's
+    # the Jacobian's again
+    a = reference_arrays(sys.polynomials, sys.arity)
+    one_point = (a["fterm"].nbytes + a["rows"].nbytes
+                 + 2 * (a["jfterm"].nbytes + a["jentry"].nbytes))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -70,8 +70,12 @@ def test_option_of_another_kind_is_rejected(tmp_path, fixture, flag, value):
     ("multiplicity_line", "--tol-rank", -0.5),
     ("infinity_example", "--tol-infinity", 0),
     ("infinity_example", "--tol-infinity", -0.5),
+    ("posdim", "--tol-rank", "inf"),
+    ("infinity_example", "--tol-infinity", "inf"),
+    ("multiplicity_line", "--seed", -1),
 ], ids=["max-components-0-posdim", "max-components-0-multiplicity", "max-components-negative",
-        "tol-rank-0", "tol-rank-negative", "tol-infinity-0", "tol-infinity-negative"])
+        "tol-rank-0", "tol-rank-negative", "tol-infinity-0", "tol-infinity-negative",
+        "tol-rank-inf", "tol-infinity-inf", "seed-negative"])
 def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     problem = FIXTURE_DIR / f"{fixture}.json"
     assert run_cli("recover", problem, flag, value, "--out-dir", tmp_path) == 1
@@ -81,18 +85,49 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     assert not (tmp_path / "study.csv").exists()
 
 
-@pytest.mark.parametrize("fixture, options", [
-    ("posdim", {"max_components": 0}),
-    ("posdim", {"tol_rank": 0.0}),
-    ("infinity_example", {"tol_infinity": 0.0}),
-], ids=["max-components", "tol-rank", "tol-infinity"])
-def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, options):
+@pytest.mark.parametrize("fixture, section, fields", [
+    ("posdim", "options", {"max_components": 0}),
+    ("posdim", "options", {"tol_rank": 0.0}),
+    ("infinity_example", "options", {"tol_infinity": 0.0}),
+    ("posdim", "options", {"tol_ranks": 1.0}),
+    ("posdim", "options", {"seed": 1.5}),
+    ("posdim", "structure", {"dimension": 5}),
+    ("posdim", "structure", {"dim": 1.7}),
+    ("posdim", "structure", {"dim": 2}),
+    ("posdim", "structure", {"degree": 0}),
+    ("fourbar", "structure", {"dim": 2}),
+    ("fourbar", "structure", {"subset_size": 0}),
+    ("multiplicity_line", "structure", {"prefix": [1, 2]}),
+    ("multiplicity_line", "structure", {"dim": True}),
+    ("infinity_example_2hom", "structure", {"groups": [["x1"]]}),
+    ("posdim", None, {"p_tidle": [1.1, -2.2]}),
+], ids=["max-components", "tol-rank", "tol-infinity", "unknown-option", "seed-not-whole",
+        "unknown-structure-field", "dim-not-whole", "dim-above-range", "degree-0",
+        "factor-dim-2", "subset-size-0", "prefix-1-2", "dim-bool", "groups-not-a-partition",
+        "unknown-top-level-field"])
+def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, section, fields):
     doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
-    doc["options"] = options
+    (doc if section is None else doc[section]).update(fields)
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
-    assert run_cli("recover", problem, "--out-dir", tmp_path) == 1
-    assert not (tmp_path / "report.json").exists()
+    out = tmp_path / "out"
+    # rejected on loading, before any detection and before any output
+    assert run_cli("recover", problem, "--out-dir", out) == 1
+    assert run_cli("study", problem, "--n", 3, "--out-dir", out) == 1
+    assert not out.exists()
+
+
+def test_a_stabilization_failure_is_reported_and_exits_two(tmp_path, monkeypatch):
+    import nearex.fiberprod
+
+    def fail(*args):
+        raise RuntimeError("slice-moving homotopy failed: step-failure")
+
+    monkeypatch.setattr(nearex.fiberprod, "move_to_slice", fail)
+    assert run_cli("recover", FIXTURE_DIR / "zeke_quartic.json", "--out-dir", tmp_path) == 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["status"] == "stabilization-failed" and doc["validated"] is False
+    assert "slice-moving homotopy failed: step-failure" in doc["detail"]
 
 
 @pytest.mark.parametrize("command, fixture, flag", [

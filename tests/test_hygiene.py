@@ -1,8 +1,10 @@
-"""Source hygiene: every name a nearex module imports is used in it, and
-every top-level name and class member it defines is used somewhere in the
-repository."""
+"""Source hygiene: every name a nearex module imports is used in it, every
+top-level name and class member it defines is used somewhere in the
+repository, and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import io
 import pathlib
 import re
@@ -153,3 +155,15 @@ def test_every_class_member_is_read():
         if name not in read
     ]
     assert not unread, ", ".join(unread)
+
+
+def test_every_benchmark_trace_target_resolves():
+    """The benchmark's tracer wraps functions by name: a rename under src/
+    fails here, not only when the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, path, _ in tracing.TARGETS + tracing.COUNTED:
+        importlib.import_module(module_name)
+        owner, attr, value = tracing._resolve(module_name, path)
+        assert callable(value), f"{module_name}.{path}"

@@ -12,6 +12,7 @@ from nearex.numlin import (
     matvec,
     null_space,
     numerical_rank,
+    rank_cut,
     row_norms,
     singular_values,
     solve_square,
@@ -177,6 +178,15 @@ def test_numerical_rank_on_constructed_matrix():
     assert numerical_rank(A, tol=1e-8) == 3
     assert null_space(A, tol=1e-8).shape[1] == 3
     assert numerical_rank(np.zeros((3, 3))) == 0
+
+
+def test_rank_cut_is_relative_to_the_largest_value_or_a_floor():
+    s = np.array([1e-3, 1e-10, 0.0])
+    assert rank_cut(s, 1e-8) == 2
+    assert rank_cut(s, 1e-8, scale=1.0) == 1  # 1e-10 is below 1e-8 of the floor
+    assert rank_cut(np.zeros(3), 1e-8) == rank_cut(np.zeros(0), 1e-8, scale=1.0) == 0
+    A = np.diag([1.0, 1e-6, 1e-10])
+    assert numerical_rank(A) == rank_cut(singular_values(A)) == 3 - null_space(A).shape[1] == 2
 
 
 def test_null_space_is_orthonormal_and_annihilated():

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import json
 import pathlib
 
@@ -8,7 +9,7 @@ import pytest
 
 from nearex.algebra import format_system
 from nearex.fixtures import P_STAR
-from nearex.problem import ProblemError, ProblemFile
+from nearex.problem import OPTIONS, PIPELINES, ProblemError, ProblemFile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -67,6 +68,25 @@ def test_complex_entries_as_pairs():
     assert prob.p_hat[0] == complex(2.8, 0.1)
     with pytest.raises(ProblemError):
         ProblemFile.from_dict(dict(MINIMAL, p_hat=["x", 2.0]))
+
+
+def test_every_field_and_option_is_a_keyword_of_its_pipeline():
+    for kind, (pipeline, fields) in PIPELINES.items():
+        keywords = set(inspect.signature(pipeline).parameters)
+        other_kind = "max_components" if kind == "infinity" else "tol_infinity"
+        assert set(fields.values()) <= keywords, kind
+        assert {OPTIONS[name] for name in OPTIONS if name != other_kind} <= keywords, kind
+
+
+def test_run_passes_what_the_file_gives_and_nothing_else(monkeypatch):
+    calls = []
+    pipeline, fields = PIPELINES["multiplicity"]
+    monkeypatch.setitem(PIPELINES, "multiplicity", (lambda *a, **kw: calls.append(kw), fields))
+    ProblemFile.from_dict(MINIMAL).run()
+    ProblemFile.from_dict(dict(MINIMAL, options={"seed": 3, "max_components": 2})).run(
+        seed=5, overrides={"tol_rank": 1e-7})
+    assert calls == [{"prefix": [1, 1], "dim_D": 0},
+                     {"prefix": [1, 1], "dim_D": 0, "seed": 5, "n_trials": 2, "rank_tol": 1e-7}]
 
 
 def test_round_trip_preserves_equality():

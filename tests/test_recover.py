@@ -5,13 +5,7 @@ import pytest
 
 from nearex.algebra import PARAMETER, parse_system, seeded_rng
 from nearex.fiberprod import FiberProductSystem, build_witness_condition
-from nearex.fixtures import (
-    DOUBLE_ROOT_ONE_PARAM,
-    DOUBLE_ROOT_P_HAT,
-    DOUBLE_ROOT_SOURCE,
-    DOUBLE_ROOT_TWO_PARAM,
-    load,
-)
+from nearex.fixtures import DOUBLE_ROOT_ONE_PARAM, DOUBLE_ROOT_TWO_PARAM, load
 from nearex.recover import (
     build_lagrange,
     descend,
@@ -22,6 +16,8 @@ from nearex.recover import (
 )
 from nearex.structure import witness_superset
 from nearex.tracker import newton_refine
+
+DOUBLE_ROOT, _, DOUBLE_ROOT_P_HAT, _ = load("double_root")
 
 
 def double_root_fiber(params="p1, p2"):
@@ -38,7 +34,7 @@ def double_root_fiber(params="p1, p2"):
 
 
 def test_newton_on_root_and_derivative_reaches_the_double_root():
-    f = parse_system(DOUBLE_ROOT_SOURCE)
+    f = DOUBLE_ROOT
     df = f.polynomials[0].diff(0)
     both = f.with_polynomials([f.polynomials[0], df])
     # fix p2 at its nominal value; unknowns are (x, p1)

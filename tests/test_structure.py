@@ -7,7 +7,7 @@ from nearex.algebra import (
     parse_system,
     seeded_rng,
 )
-from nearex.fixtures import MULTIPLICITY_SOURCE, ZEKE_P_HAT, ZEKE_SOURCE, load
+from nearex.fixtures import load
 from nearex.structure import (
     classify_residual,
     cluster_points,
@@ -73,7 +73,8 @@ EXPECTED_FIRST_DERIV_FOR_LAST = (0.07142858, -0.28571428)
 
 
 def _zeke_sliced():
-    f = parse_system(ZEKE_SOURCE).substitute_params(ZEKE_P_HAT)
+    zeke, _, p_hat, _ = load("zeke_quartic")
+    f = zeke.substitute_params(p_hat)
     n = f.arity
     a, b, c = ZEKE_SLICE
     sl = (Polynomial.variable(0, n, a) + Polynomial.variable(1, n, b)
