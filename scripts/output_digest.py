@@ -16,6 +16,10 @@ count.  The inputs are those of the benchmark's workloads
   exit code and the bytes of ``report.json`` and ``points.csv`` that
   ``nearex recover --seed <seed>`` writes for the same file.
 
+After these six lines comes one line per fixture and seed, hashed over that
+fixture's share of the ``fixtures`` lines, so that a change which moves
+fixture bits on purpose can name the fixtures that moved.
+
 Floats are hashed by their bytes, never by a rounded rendering.  The script
 takes no options; it runs for a few minutes on two cores.
 
@@ -129,15 +133,24 @@ WORKLOADS = [("detect6r", sixr_paths), ("study", study_rows),
              ("fixtures", fixture_outcomes)]
 
 
+def digest(obj):
+    h = hashlib.sha256()
+    feed(h, obj)
+    return h.hexdigest()
+
+
 def main():
     print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    per_fixture = []
     for name, outputs in WORKLOADS:
         for seed in SEEDS:
             items = outputs(seed)
-            h = hashlib.sha256()
-            feed(h, items)
-            print(f"{name:9s} seed {seed}  {len(items):3d} items  {h.hexdigest()}",
+            print(f"{name:9s} seed {seed}  {len(items):3d} items  {digest(items)}",
                   flush=True)
+            if name == "fixtures":
+                per_fixture += [(item[0], seed, digest(item)) for item in items]
+    for nm, seed, hexdigest in per_fixture:
+        print(f"  {nm:21s} seed {seed}  {hexdigest}")
     return 0
 
 

@@ -781,6 +781,21 @@ def randomize(sys, target_count, seed=0):
     return sys.with_polynomials(out)
 
 
+def jacobian_times(polys, indices, vector):
+    """``Σ_a ∂p/∂z[indices[a]] · vector[a]`` for each polynomial ``p``: the
+    Jacobian in the indeterminates ``indices`` times a vector of polynomials
+    of the same arity."""
+    rows = []
+    for p in polys:
+        row = Polynomial.zero(p.arity)
+        for i, v in zip(indices, vector):
+            d = p.diff(i)
+            if not d.is_zero():
+                row = row + d * v
+        rows.append(row)
+    return rows
+
+
 def affine_row(coeffs, indices, arity):
     """``Σ_a coeffs[a]·z[indices[a]] + coeffs[-1]`` over ``arity`` indeterminates."""
     terms = []

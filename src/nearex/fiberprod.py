@@ -23,6 +23,7 @@ from .algebra import (
     Polynomial,
     PolySystem,
     affine_row,
+    jacobian_times,
     seeded_rng,
     unit_complex,
 )
@@ -244,28 +245,14 @@ def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
     xddot = range(f.arity + n, arity)
     dot = [Polynomial.variable(i, arity) for i in xdot]
     ddot = [Polynomial.variable(i, arity) for i in xddot]
-    first = [[p.diff(i).remap(arity, range(f.arity)) for i in var] for p in f.polynomials]
-    polys = [p.remap(arity, range(f.arity)) for p in f.polynomials]
-    polys.append(affine_row(coeffs[0], var, arity))
+    fpolys = [p.remap(arity, range(f.arity)) for p in f.polynomials]
+    first = jacobian_times(fpolys, var, dot)
+    polys = fpolys + [affine_row(coeffs[0], var, arity)]
     # first-order bordered rows: J f · xdot = 0, c · xdot = 1
-    for i in range(m):
-        row = Polynomial.zero(arity)
-        for a in range(n):
-            row = row + first[i][a] * dot[a]
-        polys.append(row)
-    polys.append(affine_row(np.append(coeffs[0, :n], -1.0), xdot, arity))
+    polys += first + [affine_row(np.append(coeffs[0, :n], -1.0), xdot, arity)]
     # second-order bordered rows: J f · xddot + xdotᵀ·Hess·xdot = 0, c · xddot = 0
-    for i in range(m):
-        row = Polynomial.zero(arity)
-        for a in range(n):
-            row = row + first[i][a] * ddot[a]
-        for a in range(n):
-            for b in range(n):
-                q = first[i][a].diff(var[b])
-                if q.is_zero():
-                    continue
-                row = row + q * dot[a] * dot[b]
-        polys.append(row)
+    polys += [jd + hess for jd, hess in zip(jacobian_times(fpolys, var, ddot),
+                                            jacobian_times(first, var, dot))]
     polys.append(affine_row(np.append(coeffs[0, :n], 0.0), xddot, arity))
     copy = PolySystem(polys, f.roles + [AUXILIARY] * (2 * n),
                       f.names + [f"{f.names[i]}_d" for i in var]
@@ -311,14 +298,7 @@ def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
     lam_idx = range(f_sliced.arity, arity)
     polys = [p.remap(arity, range(f_sliced.arity)) for p in f_sliced.polynomials]
     # J f_sliced · R1 · [λ; 1] = 0  (row per equation)
-    for p in f_sliced.polynomials:
-        row = Polynomial.zero(arity)
-        for a in range(n):
-            dia = p.diff(var[a]).remap(arity, range(f_sliced.arity))
-            if dia.is_zero():
-                continue
-            row = row + dia * affine_row(R1[a], lam_idx, arity)
-        polys.append(row)
+    polys += jacobian_times(polys, var, [affine_row(row, lam_idx, arity) for row in R1])
     copy = PolySystem(polys, f_sliced.roles + [AUXILIARY] * (n - 1),
                       f_sliced.names + [f"lam{a}" for a in range(n - 1)])
     sys, _ = stack([copy])

@@ -23,14 +23,18 @@ variable names that partition the variables; default one group);
 (``infinity`` only); ``max_components`` (at least 1, pins the number of
 stabilization trials; not for ``infinity``, which imposes one condition per
 suspect solution).  Counts are whole numbers, tolerances positive finite
-numbers.  What is left out, or null, keeps the pipeline's default; anything
-else, such as an unknown field or option or a value out of range, is a
-:class:`ProblemError` when the file is loaded, before any detection.
+numbers.  The system has n equations for ``infinity``, n − dim for
+``factor``, and at least n − dim for ``positive_dim`` and ``multiplicity``.
+What is left out, or null, keeps the pipeline's default; anything else, such
+as an unknown field or option, a value out of range or a wrong equation
+count, is a :class:`ProblemError` when the file is loaded, before any
+detection.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import numbers
@@ -201,6 +205,17 @@ class ProblemFile:
         if st.get("groups") is not None and not _partitions(st["groups"], variables):
             raise ProblemError(f"groups must be lists of variable names that partition "
                                f"{variables}, got {st['groups']!r}")
+        m = len(system.polynomials)
+        need = n
+        if self.kind != "infinity":
+            dim = st.get("dim")
+            if dim is None:
+                dim = inspect.signature(PIPELINES[self.kind][0]).parameters["dim_D"].default
+            need -= dim
+        exact = self.kind in ("infinity", "factor")
+        if m < need or (exact and m > need):
+            raise ProblemError(f"a {self.kind} structure needs {'' if exact else 'at least '}"
+                               f"{need} equations in {n} unknowns, the system has {m}")
         return system
 
     def options_with(self, overrides=None):

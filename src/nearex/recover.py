@@ -77,24 +77,20 @@ def build_lagrange(F, patch_seed=0):
     arity = n_primal + M + 1
     roles = list(base.roles) + [AUXILIARY] * (M + 1)
     names = list(base.names) + [f"mult{j}" for j in range(M + 1)]
-    imap = range(n_primal)
-    polys = [p.remap(arity, imap) for p in base.polynomials]
+    polys = [p.remap(arity, range(n_primal)) for p in base.polynomials]
 
     lam = [Polynomial.variable(n_primal + j, arity) for j in range(M + 1)]
-    grads = [
-        [base.polynomials[j].diff(a).remap(arity, imap) for a in range(n_primal)]
-        for j in range(M)
-    ]
+    # gradient rows of λ₀‖p − p̂‖² + Σⱼ λⱼ·𝓕ⱼ: 𝒢's Jacobian block in the
+    # primal unknowns is then the Hessian of that Lagrangian
+    weighted = sum((lam[j + 1] * polys[j] for j in range(M)), Polynomial.zero(arity))
     par = F.param_indices()
     for a in range(n_primal):
-        row = Polynomial.zero(arity)
+        row = weighted.diff(a)
         if a in par:
             i = par.index(a)
             dist = Polynomial.variable(a, arity) - Polynomial.constant(p_hat[i], arity)
-            row = row + lam[0] * (2.0 * dist)
-        for j in range(M):
-            if not grads[j][a].is_zero():
-                row = row + lam[j + 1] * grads[j][a]
+            # distance terms first: a row's term order is its compiled sum order
+            row = lam[0] * (2.0 * dist) + row
         polys.append(row)
 
     rng = seeded_rng(patch_seed, 23)

@@ -18,8 +18,11 @@ from .algebra import (
     AUXILIARY,
     PARAMETER,
     VARIABLE,
+    CompiledSystem,
+    Polynomial,
     PolySystem,
     affine_row,
+    jacobian_times,
     randomize,
     seeded_rng,
     unit_complex,
@@ -184,36 +187,23 @@ class TraceData:
         return self.subset_traces[frozenset(subset)]
 
 
-def _hessian_quadratic_form(poly, var, w, wdot):
-    """ẇᵀ · Hess(poly) · ẇ at w, over the indeterminates listed in ``var``."""
-    total = 0.0 + 0.0j
-    first = {a: poly.diff(a) for a in var}
-    for ia, a in enumerate(var):
-        da = first[a]
-        if da.is_zero():
-            continue
-        for ib, b in enumerate(var):
-            if wdot[ia] == 0 or wdot[ib] == 0:
-                continue
-            dab = da.diff(b)
-            if dab.is_zero():
-                continue
-            total += wdot[ia] * wdot[ib] * dab.evaluate(w)
-    return total
-
-
 def trace_data(f_sliced, witness, move_index, alpha_seed=0):
     """First/second derivatives of witness points as one slice form moves.
 
     ``f_sliced`` is the square sliced system; row ``move_index`` is the affine
     form whose constant translates.  ẇ solves ``J ẇ = e_move``; ẅ solves
-    ``J ẅ = -(ẇᵀ Hess(row_i) ẇ)_i`` (linear rows contribute zero).  Subset
-    traces are ``α · Σ_{j∈S} ẅ_j``.
+    ``J ẅ = -(ẇᵀ Hess(row_i) ẇ)_i``, from the bordered rows of the trace
+    condition compiled over (w, ẇ).  Subset traces are ``α · Σ_{j∈S} ẅ_j``.
     """
     var = f_sliced.indices(VARIABLE, AUXILIARY)
     n = len(var)
     if len(f_sliced.polynomials) != n:
         raise ValueError("sliced system must be square")
+    arity = f_sliced.arity + n
+    dot = [Polynomial.variable(i, arity) for i in range(f_sliced.arity, arity)]
+    polys = [p.remap(arity, range(f_sliced.arity)) for p in f_sliced.polynomials]
+    hessian_form = CompiledSystem(
+        jacobian_times(jacobian_times(polys, var, dot), var, dot), arity)
     rng = seeded_rng(alpha_seed, 7)
     alpha = unit_complex(rng, n)
     pts, wdots, wddots = [], [], []
@@ -224,10 +214,7 @@ def trace_data(f_sliced, witness, move_index, alpha_seed=0):
         J = f_sliced.jacobian(w, cols=var)
         try:
             wd = solve_square(J, e_move)
-            rhs = np.array(
-                [-_hessian_quadratic_form(p, var, w, wd) for p in f_sliced.polynomials]
-            )
-            wdd = solve_square(J, rhs)
+            wdd = solve_square(J, -hessian_form.evaluate(np.concatenate([w, wd])))
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"witness point {j} is singular on the slice: {exc}"

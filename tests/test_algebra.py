@@ -17,6 +17,7 @@ from nearex.algebra import (
     format_polynomial,
     format_system,
     homogenize,
+    jacobian_times,
     parse_system,
     per_point,
     randomize,
@@ -137,6 +138,27 @@ def test_arithmetic_is_canonical_and_agrees_pointwise(pair, scalar, data):
         assert_canonical(poly)
         if value is not None:
             assert poly.evaluate(point) == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_jacobian_times_is_the_compiled_jacobian_times_the_vector(data):
+    """At a point, the rows of ``jacobian_times(polys, indices, vector)`` take
+    the values of the compiled Jacobian's ``indices`` columns times the
+    vector's values."""
+    arity = data.draw(st.integers(1, 4))
+    polys = data.draw(st.lists(polynomials(arity), min_size=1, max_size=3))
+    indices = data.draw(st.lists(st.integers(0, arity - 1), min_size=1, unique=True))
+    vector = data.draw(st.lists(polynomials(arity), min_size=len(indices),
+                                max_size=len(indices)))
+    x = POINT[:arity]
+    rows = jacobian_times(polys, indices, vector)
+    for row in rows:
+        assert_canonical(row)
+    expect = (CompiledSystem(polys, arity).jacobian(x)[:, indices]
+              @ np.array([v.evaluate(x) for v in vector]))
+    np.testing.assert_allclose([row.evaluate(x) for row in rows], expect,
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_remap_drops_terms_that_cancel_when_merged():

@@ -117,6 +117,35 @@ def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fixture, equations, structure", [
+    ("fourbar", "repeat-first", None),
+    ("fourbar", "drop-last", None),
+    ("infinity_example", "repeat-first", None),
+    ("infinity_example", "drop-last", None),
+    ("multiplicity_line", "drop-last", {"kind": "multiplicity", "prefix": [1, 1], "dim": 0}),
+    ("fourbar", "drop-last", {"kind": "positive_dim", "dim": 1}),
+], ids=["factor-too-many", "factor-too-few", "infinity-too-many", "infinity-too-few",
+        "multiplicity-too-few", "positive-dim-too-few"])
+def test_equation_count_out_of_range_in_the_file_is_rejected(tmp_path, capsys, fixture,
+                                                            equations, structure):
+    """infinity needs n equations, factor n − dim, positive_dim and
+    multiplicity at least n − dim: the first ``poly`` repeated or the last
+    dropped is rejected on loading, like a field out of range."""
+    doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
+    lines = doc["system"].splitlines()
+    polys = [ln for ln in lines if ln.startswith("poly")]
+    polys = polys[:1] + polys if equations == "repeat-first" else polys[:-1]
+    doc["system"] = "\n".join([ln for ln in lines if not ln.startswith("poly")] + polys)
+    doc["structure"] = structure or doc["structure"]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("recover", problem, "--out-dir", out) == 1
+    assert "equations" in capsys.readouterr().err
+    assert run_cli("study", problem, "--n", 3, "--out-dir", out) == 1
+    assert not out.exists()
+
+
 def test_a_stabilization_failure_is_reported_and_exits_two(tmp_path, monkeypatch):
     import nearex.fiberprod
 

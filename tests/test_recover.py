@@ -5,7 +5,8 @@ import pytest
 
 from nearex.algebra import PARAMETER, parse_system, seeded_rng
 from nearex.fiberprod import FiberProductSystem, build_witness_condition
-from nearex.fixtures import DOUBLE_ROOT_ONE_PARAM, DOUBLE_ROOT_TWO_PARAM, load
+from nearex.fixtures import DOUBLE_ROOT_ONE_PARAM, DOUBLE_ROOT_TWO_PARAM, FIXTURE_DIR, load
+from nearex.problem import ProblemFile
 from nearex.recover import (
     build_lagrange,
     descend,
@@ -98,6 +99,25 @@ def test_lagrange_gradient_rows_match_finite_differences():
         fd = (L(primal + e) - L(primal - e)) / (2 * h)
         denom = max(1.0, abs(fd))
         assert abs(grad_rows[a] - fd) / denom < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["posdim", "fourbar", "multiplicity_line"])
+def test_lagrange_jacobian_holds_the_hessian_and_the_constraint_jacobian(fixture):
+    """The gradient rows of 𝒢 are the gradient of λ₀‖p − p̂‖² + Σⱼ λⱼ·𝓕ⱼ, so
+    their block of 𝒢's Jacobian in the primal unknowns is that Lagrangian's
+    Hessian, symmetric bit for bit, and their multiplier columns are J_𝓕ᵀ,
+    the transposed Jacobian of 𝒢's constraint rows."""
+    run = ProblemFile.load(FIXTURE_DIR / f"{fixture}.json").run(seed=0)
+    G = build_lagrange(run.stabilization.fiber_product)
+    n = G.fiber.full_system.arity
+    M = len(G.lambda_indices) - 1
+    rng = seeded_rng(12)
+    arity = G.system.arity
+    for z in (G.start_point(), rng.normal(size=arity) + 1j * rng.normal(size=arity)):
+        J = G.system.jacobian(z)
+        hessian = J[M:M + n, :n]
+        assert np.array_equal(hessian, hessian.T)
+        assert np.array_equal(J[M:M + n, n + 1:n + 1 + M], J[:M, :n].T)
 
 
 def test_descend_is_deterministic():

@@ -119,6 +119,28 @@ def test_full_trace_is_sum_of_subset_traces():
     assert td.trace(range(4)) == pytest.approx(parts, rel=1e-12)
 
 
+def _hessian_quadratic_form(poly, var, w, wdot):
+    """ẇᵀ · Hess(poly) · ẇ at w, over the indeterminates listed in ``var``,
+    entry by entry from symbolic second derivatives: a reference for the
+    compiled rows of ``trace_data``."""
+    total = 0.0 + 0.0j
+    for ia, a in enumerate(var):
+        for ib, b in enumerate(var):
+            total += wdot[ia] * wdot[ib] * poly.diff(a).diff(b).evaluate(w)
+    return total
+
+
+def test_second_derivatives_match_the_entrywise_hessian_form():
+    sq = _zeke_sliced()
+    pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
+    td = trace_data(sq, pts, move_index=1, alpha_seed=0)
+    var = list(range(sq.arity))
+    for w, wd, wdd in zip(td.points, td.first_derivs, td.second_derivs):
+        rhs = [-_hessian_quadratic_form(p, var, w, wd) for p in sq.polynomials]
+        expect = np.linalg.solve(sq.jacobian(w), rhs)
+        assert np.linalg.norm(wdd - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
 # -- Macaulay matrices and the local Hilbert function -----------------------
 
 
