@@ -9,6 +9,14 @@ correction is plain Newton at fixed ``t``.  Each corrector iterate takes H
 and J from one kernel call, and the J of the point a step ends on gives the
 next step's first slope.
 
+Every convergence test scales with the point.  The corrector stops at a
+Newton step of at most ``CORRECTOR_TOL·(1 + ‖x₀‖)``, x₀ being the point the
+correction starts from, as the endpoint classification, the Gauss–Newton
+polish and :func:`newton_refine` scale theirs, and as Bertini and
+HomotopyContinuation.jl do.  Far out on a path to infinity rounding alone
+keeps ‖dx‖ above an absolute tolerance, so an absolute test there rejects
+every step and halves the step size until the path crawls.
+
 :func:`track_paths` moves all paths of a homotopy in lock-step, as
 HomotopyContinuation.jl does (Breiding & Timme 2018), each path ending bit
 for bit where it ends when tracked alone.
@@ -124,30 +132,35 @@ def _newton_correct(h, x, t, tol, max_steps):
     """Newton at fixed t on each row of a stack: ``(x, residual, converged,
     J)``, where J holds each row's full Jacobian at the point it ends on.
 
-    A row stops at its first step of at most ``tol`` or singular Jacobian.
-    One kernel call per iterate gives H and J there: the iterate's residual
-    and the step from it.
+    A row stops at its first step of at most ``tol·(1 + ‖x₀‖)``, x₀ being
+    its point when the correction begins, or at a singular Jacobian; the
+    test scales with the point so that paths to infinity do not crawl (see
+    the module docstring).  One kernel call per iterate gives H and J there:
+    the iterate's residual and the step from it.
     """
     x = x.copy()
     H, J = h.evaluate_with_jacobian(x, t)
     res = row_norms(H)
     ok = np.zeros(len(x), dtype=bool)
-    rows, xr, tr, Jr = np.arange(len(x)), x, t, J  # the rows still iterating
+    # the rows still iterating, and the step each must get under
+    rows, xr, tr, Jr, stop = np.arange(len(x)), x, t, J, tol * (1.0 + row_norms(x))
     for _ in range(max_steps):
         dx, solved = solve_stack(Jr.take(h.unknowns, axis=-1), -H)
         if not all(solved.tolist()):  # a singular row stops where it is
-            rows, xr, tr, dx = rows[solved], xr[solved], tr[solved], dx[solved]
+            rows, xr, tr, dx, stop = (rows[solved], xr[solved], tr[solved], dx[solved],
+                                      stop[solved])
         xr = xr + dx
         H, Jr = h.evaluate_with_jacobian(xr, tr)
         x[rows], res[rows], J[rows] = xr, row_norms(H), Jr
-        done = row_norms(dx) <= tol
+        done = row_norms(dx) <= stop
         flags = done.tolist()
         if all(flags):
             ok[rows] = True
             return x, res, ok, J
         if any(flags):
             ok[rows[done]] = True
-            rows, xr, tr, H, Jr = rows[~done], xr[~done], tr[~done], H[~done], Jr[~done]
+            rows, xr, tr, H, Jr, stop = (rows[~done], xr[~done], tr[~done], H[~done],
+                                         Jr[~done], stop[~done])
     ok[rows] = res[rows] <= tol
     return x, res, ok, J
 

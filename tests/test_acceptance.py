@@ -393,6 +393,7 @@ def test_detection_splits_the_6r_start_solutions_into_three_clusters():
     f, _, p_hat, _ = load("sixR")
     results = solve_total_degree(f.substitute_params(p_hat), seed=0)
     assert len(results) == 256
+    assert sum(r.steps for r in results) <= 16_000
     good = [r.endpoint for r in results if r.success]
     ids = cluster_points(good, radius=1e-6)
     reps = {}

@@ -414,6 +414,21 @@ def test_bad_start_point_raises_before_any_path_is_tracked(monkeypatch):
         parameter_homotopy(sys, [4.0], [9.0], starts)
 
 
+def test_tracking_is_scale_invariant():
+    # x = s·sqrt(1 + p), y = x²/s: the same path at every scale s, from
+    # (2s, 4s) at p = 3 to (s, s) at p = 0; the corrector's stopping test
+    # scales with the point, so the step control does not see s
+    steps = set()
+    for s in (1.0, 1e6, 1e7):
+        sys = parse_system(f"vars x, y; params p; poly x^2 - {s * s!r}*(1 + p); "
+                           f"poly {s!r}*y - x^2;")
+        result = parameter_homotopy(sys, [3.0], [0.0], [np.array([2 * s, 4 * s])])[0]
+        assert result.success
+        assert abs(result.endpoint[0] / s - 1.0) < 1e-12
+        steps.add(result.steps)
+    assert len(steps) == 1
+
+
 def test_newton_refine_converges_quadratically():
     sys = parse_system("vars x; poly x^2 - 2;")
     x0 = np.array([1.4 + 0j])
