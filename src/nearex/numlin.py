@@ -12,6 +12,9 @@ layers that cost several times the LAPACK work of the tracker's small solves
 :func:`solve_stack` flags each singular matrix of a stack; :func:`solve_square`,
 its one-matrix case, raises :class:`SingularMatrixError`.  An exactly zero
 pivot, reported in ``info`` rather than by a ``LinAlgWarning``, is singular too.
+:func:`lstsq` calls LAPACK ``zgelsd`` directly for the same reason, on one
+matrix or a stack: bitwise ``scipy.linalg.lstsq(..., lapack_driver="gelsd")``
+per matrix, with one workspace query per call.
 
 Any BLAS call at a size OpenBLAS threads goes to SciPy's OpenBLAS.  NumPy and
 SciPy each load their own OpenBLAS, with its own worker pool.  After a
@@ -29,10 +32,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, zgemv
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import zgelsd, zgelsd_lwork, zgetrf, zgetrs
 
 DEFAULT_RANK_TOL = 1e-8
 _PIVOT_TOL = 1e-14
+_GELSD_COND = np.finfo(complex).eps  # SciPy's lstsq default: cut below eps·σ_max
 # OpenBLAS threads a ddot of more than 10,000 entries and a zgemv of 4,096
 # matrix entries or more
 _DDOT_ONE_THREAD_MAX = 10_000
@@ -141,8 +145,32 @@ def null_space(A, tol=DEFAULT_RANK_TOL):
 
 
 def lstsq(A, b):
-    """Minimum-norm least-squares solution of ``A x = b``."""
+    """Minimum-norm least-squares solution of ``A x = b`` for one ``(m, n)``
+    matrix or a ``(P, m, n)`` stack, ``b`` holding one right-hand side per
+    matrix.  Each matrix is one ``zgelsd`` call, with the workspace sized
+    once per call: bitwise ``scipy.linalg.lstsq(A[k], b[k],
+    lapack_driver="gelsd")``, which pads ``b`` to n entries when m < n and
+    keeps the first n entries of the solution when m > n."""
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    x, *_ = scipy.linalg.lstsq(A, b, check_finite=False, lapack_driver="gelsd")
+    if b.shape != A.shape[:-1]:
+        raise ValueError(f"right-hand side of shape {b.shape} for matrices of shape {A.shape}")
+    m, n = A.shape[-2:]
+    x = np.zeros(A.shape[:-2] + (n,), dtype=complex)
+    if m == 0 or n == 0:
+        return x
+    work, rwork, iwork, info = zgelsd_lwork(m, n, 1, _GELSD_COND)
+    if info != 0:
+        raise ValueError(f"zgelsd workspace query failed: {info}")
+    sizes = int(work.real), int(rwork), int(iwork)
+    padded = np.zeros(A.shape[:-2] + (max(m, n),), dtype=complex)
+    padded[..., :m] = b
+    xs, As = x.reshape(-1, n), A.reshape(-1, m, n)
+    for k, bk in enumerate(padded.reshape(-1, max(m, n))):
+        xk, _, _, info = zgelsd(As[k], bk, *sizes, _GELSD_COND, False, False)
+        if info > 0:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of zgelsd")
+        xs[k] = xk[:n]
     return x

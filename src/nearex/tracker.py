@@ -246,9 +246,10 @@ def track_paths(h, starts):
     # final polish at t=0
     x = np.array([xp for _, xp in ends], dtype=complex).reshape(len(ends), x.shape[1])
     x, res, ok, _ = _newton_correct(h, x, np.zeros(len(ends)), CORRECTOR_TOL, POLISH_ITERS)
+    stuck = np.flatnonzero(~ok)
+    if len(stuck):
+        x[stuck], res[stuck] = _gauss_newton_polish(h, x[stuck])
     for (p, _), xp, r, converged in zip(ends, x, res.tolist(), ok.tolist()):
-        if not converged:
-            xp, r = _gauss_newton_polish(h, xp)
         p.t, norm = 0.0, np.linalg.norm(xp)
         if norm > DIVERGENCE_BOUND or not np.all(np.isfinite(xp)):
             finish(p, xp, DIVERGED, r)
@@ -265,19 +266,29 @@ def track_path(h, start):
 
 
 def _gauss_newton_polish(h, x):
-    """Least-squares fallback at t=0 for singular endpoints."""
-    H, J = h.evaluate_with_jacobian(x, 0.0)
-    best, best_res = x, float(np.linalg.norm(H))
+    """Least-squares fallback at t=0 for the rows of a stack whose Newton
+    polish did not converge: ``(x, residual)``, each row's best point and
+    its residual.
+
+    Each row takes minimum-norm Gauss–Newton steps, keeps the point of
+    smallest residual, and stops at its own break: a non-finite residual,
+    or one below ``1e-14·(1 + ‖x‖)``.  The rows still iterating share one
+    kernel call and one stacked ``lstsq`` per iterate, and each row ends
+    bit for bit where it ends alone.
+    """
+    H, J = h.evaluate_with_jacobian(x, np.zeros(len(x)))
+    best, best_res = x.copy(), row_norms(H)
+    rows, xr = np.arange(len(x)), x
     for _ in range(LSTSQ_POLISH_ITERS):
-        x = x + lstsq(J.take(h.unknowns, axis=-1), -H)
-        H, J = h.evaluate_with_jacobian(x, 0.0)
-        res = float(np.linalg.norm(H))
-        if not np.isfinite(res):
+        xr = xr + lstsq(J.take(h.unknowns, axis=-1), -H)
+        H, J = h.evaluate_with_jacobian(xr, np.zeros(len(xr)))
+        res = row_norms(H)
+        better = res < best_res[rows]  # False where res is NaN
+        best[rows[better]], best_res[rows[better]] = xr[better], res[better]
+        going = np.isfinite(res) & (res >= 1e-14 * (1.0 + row_norms(xr)))
+        if not any(going.tolist()):
             break
-        if res < best_res:
-            best, best_res = x, res
-        if res < 1e-14 * (1.0 + np.linalg.norm(x)):
-            break
+        rows, xr, H, J = rows[going], xr[going], H[going], J[going]
     return best, best_res
 
 

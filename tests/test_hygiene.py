@@ -167,3 +167,25 @@ def test_every_benchmark_trace_target_resolves():
         importlib.import_module(module_name)
         owner, attr, value = tracing._resolve(module_name, path)
         assert callable(value), f"{module_name}.{path}"
+
+
+def scipy_imports(source):
+    """Lines of ``source`` that import SciPy or a part of it."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    )
+
+
+def test_checker_sees_a_scipy_import():
+    source = "import numpy\nimport scipy.linalg as sl\nfrom scipy.linalg.lapack import zgelsd\n"
+    assert scipy_imports(source) == [2, 3]
+
+
+def test_only_numlin_imports_scipy():
+    """LAPACK and SciPy's BLAS are reached through numlin alone, so each
+    solve's rounding and rank rule is decided in one module."""
+    found = [f"{path.name}:{line}" for path in MODULES if path.name != "numlin.py"
+             for line in scipy_imports(path.read_text(encoding="utf-8"))]
+    assert not found, ", ".join(found)

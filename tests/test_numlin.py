@@ -218,6 +218,24 @@ def test_lstsq_minimum_norm_solution():
     assert np.linalg.norm(N.conj().T @ x) < 1e-10
 
 
+@pytest.mark.parametrize("m, n, rank", [(4, 4, 4), (6, 3, 3), (3, 6, 3), (5, 5, 3), (6, 3, 2),
+                                         (3, 6, 1), (1, 4, 1), (4, 1, 1)],
+                         ids=["square", "tall", "wide", "square-deficient", "tall-deficient",
+                              "wide-deficient", "one-row", "one-column"])
+def test_stacked_lstsq_is_scipy_gelsd_per_matrix_bitwise(m, n, rank):
+    rng = seeded_rng(5, m, n, rank)
+    A = random_complex(rng, 7, m, rank) @ random_complex(rng, 7, rank, n)
+    b = random_complex(rng, 7, m)
+    x = lstsq(A, b)
+    assert x.shape == (7, n)
+    for k in range(7):
+        expected = scipy.linalg.lstsq(A[k], b[k], check_finite=False, lapack_driver="gelsd")[0]
+        assert x[k].tobytes() == expected.tobytes() == lstsq(A[k], b[k]).tobytes()
+    assert lstsq(A[:0], b[:0]).shape == (0, n)
+    with pytest.raises(ValueError, match="right-hand side"):
+        lstsq(A, b[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 def test_rank_plus_nullity_is_column_count(seed, n):

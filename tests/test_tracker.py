@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nearex.algebra import (
     PARAMETER,
@@ -18,6 +19,7 @@ from nearex.fixtures import load
 from nearex.structure import cluster_points
 from nearex.tracker import (
     Homotopy,
+    _gauss_newton_polish,
     _newton_correct,
     linear_homotopy,
     newton_refine,
@@ -329,6 +331,56 @@ def test_newton_corrector_evaluates_h_once_per_iterate(monkeypatch):
         assert res[k] == rk[0] and ok[k] == okk[0]
         assert J[k].tobytes() == Jk[0].tobytes() == jacobian_at(x[k], ts[k])
     assert calls["evaluate"] == 0  # H comes only from the fused calls
+
+
+def one_row_gauss_newton(h, x):
+    """The Gauss–Newton polish of one point, a row at a time: the reference
+    the stacked polish must match bit for bit."""
+    H, J = h.evaluate_with_jacobian(x, 0.0)
+    best, best_res = x, float(np.linalg.norm(H))
+    for _ in range(tracker.LSTSQ_POLISH_ITERS):
+        x = x + scipy.linalg.lstsq(J.take(h.unknowns, axis=-1), -H, check_finite=False,
+                                   lapack_driver="gelsd")[0]
+        H, J = h.evaluate_with_jacobian(x, 0.0)
+        res = float(np.linalg.norm(H))
+        if not np.isfinite(res):
+            break
+        if res < best_res:
+            best, best_res = x, res
+        if res < 1e-14 * (1.0 + np.linalg.norm(x)):
+            break
+    return best, best_res
+
+
+def test_gauss_newton_polish_of_a_stack_gives_each_row_its_own_bits():
+    sys = parse_system("vars x, y; params p; poly x^2 - p; poly y^2 + x*y - p;")
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [2.0], [1.0])
+    fused = h.evaluate_with_jacobian
+    calls = []  # the height of each kernel call
+
+    def counted_fused(x, t):
+        calls.append(len(x) if np.ndim(x) > 1 else None)
+        return fused(x, t)
+    h.evaluate_with_jacobian = counted_fused
+    # converges at its 4th iterate, at its 9th, overflows at its 1st (J is
+    # 1e-300 there), runs to the iteration cap, converges at its 5th
+    x = np.array([[0.9, 0.5], [30.0, -20.0 + 1j], [1e-300, 1e-300], [1e30, 1.0],
+                  [0.9 + 0.2j, 1.0]], dtype=complex)
+    iterates = [4, 9, 1, tracker.LSTSQ_POLISH_ITERS, 5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, res = _gauss_newton_polish(h, x)
+        heights = list(calls)
+        for k, n_iter in enumerate(iterates):
+            calls.clear()
+            alone, alone_res = _gauss_newton_polish(h, x[k:k + 1])
+            assert len(calls) == n_iter + 1
+            assert best[k].tobytes() == alone[0].tobytes()
+            assert res[k] == alone_res[0]
+            reference, reference_res = one_row_gauss_newton(h, x[k])
+            assert best[k].tobytes() == reference.tobytes() and res[k] == reference_res
+    assert best[2].tobytes() == x[2].tobytes()  # nothing it reached was better
+    # one call per iterate for the rows still going, not one per row
+    assert heights == [5, 5, 4, 4, 4, 3, 2, 2, 2, 2] + [1] * 31
 
 
 def test_a_tracker_step_makes_three_jacobian_calls_and_one_fused_call_per_iterate(monkeypatch):
