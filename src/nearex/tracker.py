@@ -17,14 +17,25 @@ HomotopyContinuation.jl do.  Far out on a path to infinity rounding alone
 keeps ‖dx‖ above an absolute tolerance, so an absolute test there rejects
 every step and halves the step size until the path crawls.
 
+A step never passes t = 0.  Once a path's step to exactly t = 0 is
+refused, the path never aims there again: each later step halves t, a
+geometric schedule as in the endgames of Bates, Hauenstein, Sommese &
+Wampler (*Numerically Solving Polynomial Systems with Bertini*, SIAM 2013,
+ch. 3), down to ``ENDGAME_T``, where the polish at t = 0 finishes it.  A
+path to a singular endpoint is refused at t = 0 every time, so re-aiming
+there after each accepted step only doubled its steps.  The polish is
+Newton, then Gauss–Newton for the rows it leaves unconverged.
+
 :func:`track_paths` moves all paths of a homotopy in lock-step, as
 HomotopyContinuation.jl does (Breiding & Timme 2018), each path ending bit
-for bit where it ends when tracked alone.
+for bit where it ends when tracked alone; the two polishes run in lock-step
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +101,13 @@ class Homotopy:
         self.direction = np.zeros(system.arity, dtype=complex)
         self.direction[path] = q1 - q0
         self.scatter = StackedIndex(self.unknowns, system.arity)
+
+    @cached_property
+    def degree(self):
+        """The degree of H in its unknowns: the start check allows a residual
+        of ``START_TOL·(1 + ‖x‖^degree)``, the scale of
+        ``structure.solution_residual``."""
+        return max((q.degree(self.unknowns) for q in self.system.polynomials), default=0)
 
     def _full(self, x, t):
         full = np.asarray(t).reshape(-1, 1) * self.direction
@@ -189,23 +207,24 @@ def track_paths(h, starts):
     """
     x = np.array(starts, dtype=complex).reshape(len(starts), len(h.unknowns))
     H, J = h.evaluate_with_jacobian(x, np.ones(len(x)))  # row i's J at its point
-    for start_res in row_norms(H):
-        if start_res > START_TOL:
-            raise ValueError(
-                f"start point residual {start_res:.3e} exceeds tolerance {START_TOL:.3e}"
-            )
+    start_res = row_norms(H)
+    if any((start_res > START_TOL).tolist()):  # the scale is at least 1: read the degree only now
+        for res, tol in zip(start_res, START_TOL * (1.0 + row_norms(x) ** h.degree)):
+            if res > tol:
+                raise ValueError(f"start point residual {res:.3e} exceeds tolerance {tol:.3e}")
     results = [None] * len(x)
 
     def finish(p, xp, status, res):
         results[p.index] = TrackResult(xp.copy(), status, float(res), p.steps, p.t)
 
     # the step control of each path still tracking; row i of x is live[i]'s point
-    live = [SimpleNamespace(index=k, t=1.0, dt=INITIAL_STEP, run=0, steps=0)
+    live = [SimpleNamespace(index=k, t=1.0, dt=INITIAL_STEP, run=0, steps=0, halving=False)
             for k in range(len(x))]
     ends = []  # (path, point) for each path that reached the endgame
     while live:
         t = np.array([p.t for p in live])
-        dt = np.array([min(p.dt, p.t) for p in live])  # never step past t=0
+        # never step past t=0, and once a step to t=0 was refused, halve t instead
+        dt = np.array([min(p.dt, p.t / 2 if p.halving else p.t) for p in live])
         x_new, ok = _predict_rk4(h, x, J, t, -dt)
         t_new = t - dt
         if all(ok.tolist()):
@@ -231,7 +250,7 @@ def track_paths(h, starts):
                 if p.run >= GROWTH_AFTER:
                     p.dt, p.run = min(p.dt * 2.0, MAX_STEP), 0
             else:
-                p.dt, p.run = p.dt * 0.5, 0
+                p.dt, p.run, p.halving = p.dt * 0.5, 0, p.halving or t_next == 0.0
                 if p.dt < MIN_STEP and p.t > SALVAGE_T:
                     finish(p, x[i], STEP_FAILURE, np.linalg.norm(h.evaluate(x[i], p.t)))
                     continue

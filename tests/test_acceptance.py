@@ -185,6 +185,25 @@ def test_fourbar_recovery_dimension_table_and_coupled_parameters():
     assert _elapsed(t0) < 300.0
 
 
+def test_fourbar_at_run_seed_3_ends_not_validated():
+    """fourbar run through its problem file at run seed 3 ends
+    ``not-validated``, pinned as it behaves today.
+
+    Why this is wrong: a run seed picks other random slices and paths, not
+    another answer, and at run seed 0 the same file recovers p* within 1e-3
+    of the reference.  At seed 3 stabilization gives the same table, but the
+    candidate that is returned descends to a complex p* (relative |Im p*|
+    9.0e-3 for a real p̂) whose subset trace, 5.9e-4, is 240 times the
+    validation threshold of 2.5e-6.
+    """
+    out = ProblemFile.load(FIXTURES / "fourbar.json").run(seed=3)
+    assert out.stabilization.dims == [3, 2, 2, 2]
+    assert not out.validated and out.result.status == "not-validated"
+    validation = out.result.validation
+    assert validation["subset_trace"] > 100 * validation["threshold"]
+    assert validation["imag_p_star"] > 1e-3
+
+
 # -- Stewart-Gough platform (extended) ---------------------------------------
 
 
@@ -393,7 +412,7 @@ def test_detection_splits_the_6r_start_solutions_into_three_clusters():
     f, _, p_hat, _ = load("sixR")
     results = solve_total_degree(f.substitute_params(p_hat), seed=0)
     assert len(results) == 256
-    assert sum(r.steps for r in results) <= 16_000
+    assert sum(r.steps for r in results) <= 14_000
     good = [r.endpoint for r in results if r.success]
     ids = cluster_points(good, radius=1e-6)
     reps = {}

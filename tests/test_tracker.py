@@ -466,6 +466,38 @@ def test_bad_start_point_raises_before_any_path_is_tracked(monkeypatch):
         parameter_homotopy(sys, [4.0], [9.0], starts)
 
 
+def test_exact_starts_far_from_the_origin_pass_the_start_check():
+    # ‖x‖ = 1.4e5: rounding alone puts H(x, 1) near 1e-6, over an absolute 1e-8
+    sys = parse_system("vars x, y; params p, q; poly x^2 - p; poly y^2 - q;")
+    rng = seeded_rng(21)
+    for _ in range(5):
+        p1, p0 = 1e10 * unit_complex(rng, 2), 1e10 * unit_complex(rng, 2)
+        result = parameter_homotopy(sys, p1, p0, [np.sqrt(p1)])[0]
+        assert result.success
+        assert np.all(np.abs(result.endpoint ** 2 - p0) <= 1e-14 * 1e10)
+
+
+def test_a_path_to_a_double_root_aims_at_t_0_once_then_halves_t(monkeypatch):
+    sys = parse_system("vars x; params p; poly x^2 - p;")
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [1.0], [0.0])
+    steps = []  # (t, target) of each step
+    predict = tracker._predict_rk4
+
+    def recorded(h, x, J, t, dt):
+        steps.append((float(t[0]), float(t[0] + dt[0])))
+        return predict(h, x, J, t, dt)
+    monkeypatch.setattr(tracker, "_predict_rk4", recorded)
+    result = track_path(h, np.array([1.0 + 0j]))
+    assert result.steps == len(steps) == 29  # 44 when every step after a refusal aims at 0
+    aimed = [k for k, (_, target) in enumerate(steps) if target == 0.0]
+    assert len(aimed) == 1
+    tail = steps[aimed[0] + 1:]
+    assert tail[0][0] == steps[aimed[0]][0]  # the step to t = 0 was refused
+    assert all(target == t / 2 for t, target in tail)
+    assert tail[-1][1] <= tracker.ENDGAME_T < tail[-1][0]
+    assert abs(result.endpoint[0]) < 1e-6
+
+
 def test_tracking_is_scale_invariant():
     # x = s·sqrt(1 + p), y = x²/s: the same path at every scale s, from
     # (2s, 4s) at p = 3 to (s, s) at p = 0; the corrector's stopping test
