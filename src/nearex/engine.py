@@ -12,12 +12,16 @@ One pipeline per structure kind:
 * :func:`recover_multiplicity` — impose a rank-deficient Jacobian of the
   sliced system (local Hilbert function prefix (1, 1), multiplicity two).
 
-Every pipeline stabilizes a fiber product, even of one condition, then
-descends and validates through one shared tail; pipelines with several
-candidates keep the first validated outcome, else the last.  A pipeline
-ends in :class:`StructureNotFoundError` when detection finds nothing to
-impose, and in a ``StabilizationError`` when its stabilization fails (the
-positive-dimensional pipeline tries its next candidate instead).
+A pipeline states only how it detects at a seed s0 and the order of its
+candidates; :func:`_first_validated` is the one loop over them.  Attempt k
+of ``ATTEMPTS`` detects at s0 = seed + ``REDRAW``·k, and every seed the
+detection derives (slices, start systems, copies of a condition, the
+Lagrange patch) follows s0; validation keeps the run's own seed.  Each
+candidate stabilizes a fiber product, even of one condition, then descends
+and validates through one shared tail.  The first validated outcome wins,
+else the last one tried.  A run with no outcome re-raises the last
+``StabilizationError``, and when no candidate reached stabilization it ends
+in :class:`StructureNotFoundError` with the last detection's reason.
 
 Validation re-runs the detection at the recovered parameters with thresholds
 100× tighter than detection and reports pass/fail alongside the result.  It
@@ -73,6 +77,8 @@ VALIDATION_TIGHTENING = 100.0
 TIGHT_TOL = NEAR_SOLUTION_TOL / VALIDATION_TIGHTENING
 DEDUPE_RADIUS = 1e-8  # detection points closer than this are one point
 TRACE_TOL = 1e-2  # a subset trace below this share of the trace scale is near zero
+ATTEMPTS = 3  # detections per run, the k-th at seed + REDRAW·k
+REDRAW = 1013
 
 
 class StructureNotFoundError(RuntimeError):
@@ -119,18 +125,6 @@ def _check_real(validation, p_hat, p_star):
     return validation
 
 
-def _stabilize_copies(builder, p_hat, seed, n_trials, rank_tol):
-    """Stabilize repeated copies of one condition.  A pinned ``n_trials`` is
-    scanned in full; by default the scan stops at the first plateau, after at
-    most one copy per parameter plus one."""
-    if n_trials is None:
-        trials, plateau = range(len(p_hat) + 1), True
-    else:
-        trials, plateau = range(n_trials), False
-    return stabilize(builder, trials, p_hat, seed=seed, stop_on_plateau=plateau,
-                     cumulative=True, tol=rank_tol)
-
-
 def _descend_and_validate(structure, stab, points, patch_seed, validate, *args):
     """Descend from the stabilized fiber product and validate the endpoint:
     ``validate(res, fiber, *args)`` returns the validation dict, or None when
@@ -142,27 +136,49 @@ def _descend_and_validate(structure, stab, points, patch_seed, validate, *args):
                       points=points)
 
 
-def _first_validated(outcomes, none_tried):
-    """The first outcome that validates, else the last one tried."""
-    last = None
-    for out in outcomes:
-        if out.validated:
-            return out
-        last = out
-    if last is None:
-        raise StructureNotFoundError(none_tried)
-    return last
+def _copies(structure, builder, p_hat, s0, n_trials, rank_tol, points, validate, *args):
+    """One candidate as the loop runs it: stabilize repeated copies of its
+    condition at s0, then descend and validate.  A pinned ``n_trials`` is
+    scanned in full; by default the scan stops at the first plateau, after at
+    most one copy per parameter plus one."""
+    if n_trials is None:
+        trials, plateau = range(len(p_hat) + 1), True
+    else:
+        trials, plateau = range(n_trials), False
+
+    def run():
+        stab = stabilize(builder, trials, p_hat, seed=s0, stop_on_plateau=plateau,
+                         cumulative=True, tol=rank_tol)
+        return _descend_and_validate(structure, stab, points, s0, validate, *args)
+    return run
+
+
+def _first_validated(seed, candidates):
+    """The one candidate loop.  ``candidates(s0)`` detects at s0 and yields
+    one callable per candidate, each returning that candidate's outcome; it
+    raises StructureNotFoundError when the detection finds nothing."""
+    last = stab_error = not_found = None
+    for k in range(ATTEMPTS):
+        try:
+            for run in candidates(seed + REDRAW * k):
+                try:
+                    last = run()
+                except StabilizationError as exc:
+                    stab_error = exc
+                    continue
+                if last.validated:
+                    return last
+        except StructureNotFoundError as exc:
+            not_found = exc
+    if last is not None:
+        return last
+    raise stab_error or not_found
 
 
 def _dedupe(points):
+    """The first point of each cluster, in the given order."""
     ids = cluster_points(points, DEDUPE_RADIUS)
-    out = []
-    seen = set()
-    for cp, cid in zip(points, ids):
-        if cid not in seen:
-            seen.add(cid)
-            out.append(cp)
-    return out
+    return [cp for i, cp in enumerate(points) if ids[i] not in ids[:i]]
 
 
 # -- solutions at infinity ---------------------------------------------------
@@ -178,64 +194,63 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
     """Detect near-infinity solutions and push them onto infinity exactly.
 
     ``groups`` lists the variable names of each homogenization group; the
-    default is one group of all variables.
+    default is one group of all variables.  The one candidate imposes every
+    suspect together.
     """
     p_hat = np.asarray(p_hat, dtype=complex)
     if groups is None:
         groups = [f.indices(VARIABLE)]
     else:
         groups = [[f.index_of(nm) for nm in grp] for grp in groups]
-    hom, hom_indices = homogenize(f, groups, seed=seed)
-    homp = hom.substitute_params(p_hat)
-    positions = [homp.index_of(hom.names[i]) for i in hom_indices]
 
-    results = solve_total_degree(homp, seed=seed + 1)
-    good = _converged(results)
-    points = classify_infinity([ClassifiedPoint(point=r.endpoint) for r in good],
-                               positions, infinity_tol)
+    def candidates(s0):
+        hom, hom_indices = homogenize(f, groups, seed=s0)
+        homp = hom.substitute_params(p_hat)
+        positions = [homp.index_of(hom.names[i]) for i in hom_indices]
 
-    # base-point screen: a point that stays at infinity for generic
-    # parameters imposes no condition; track each suspect to a generic p
-    rng = seeded_rng(seed, 41)
-    p_generic = p_hat + 0.5 * unit_complex(rng, p_hat.shape[0])
-    suspects = []
-    raw = [cp for cp in points if cp.is_near_infinity()]
-    if raw:
-        moved = parameter_homotopy(hom, p_hat, p_generic, [cp.point for cp in raw])
-        for cp, mv in zip(raw, moved):
-            if not mv.success:
-                continue
-            generic, = classify_infinity([ClassifiedPoint(point=mv.endpoint)], positions,
-                                         infinity_tol / 10.0)
-            if not any(generic.is_near_infinity(g) and cp.is_near_infinity(g)
-                       for g in range(len(positions))):
-                suspects.append(cp)
-    suspects = _dedupe(suspects)
-    if not suspects:
-        raise StructureNotFoundError("no non-base solutions near infinity")
+        results = solve_total_degree(homp, seed=s0 + 1)
+        good = _converged(results)
+        points = classify_infinity([ClassifiedPoint(point=r.endpoint) for r in good],
+                                   positions, infinity_tol)
 
-    groups_of = []
-    for cp in suspects:
-        g = min(
-            (g for g in range(len(groups)) if cp.is_near_infinity(g)),
-            key=lambda g: cp.homogenizing_magnitudes[g],
+        # base-point screen: a point that stays at infinity for generic
+        # parameters imposes no condition; track each suspect to a generic p
+        rng = seeded_rng(s0, 41)
+        p_generic = p_hat + 0.5 * unit_complex(rng, p_hat.shape[0])
+        suspects = []
+        raw = [cp for cp in points if cp.is_near_infinity()]
+        if raw:
+            moved = parameter_homotopy(hom, p_hat, p_generic, [cp.point for cp in raw])
+            for cp, mv in zip(raw, moved):
+                if not mv.success:
+                    continue
+                generic, = classify_infinity([ClassifiedPoint(point=mv.endpoint)],
+                                             positions, infinity_tol / 10.0)
+                if not any(generic.is_near_infinity(g) and cp.is_near_infinity(g)
+                           for g in range(len(positions))):
+                    suspects.append(cp)
+        suspects = _dedupe(suspects)
+        if not suspects:
+            raise StructureNotFoundError("no non-base solutions near infinity")
+
+        def group_of(cp):
+            return min((g for g in range(len(groups)) if cp.is_near_infinity(g)),
+                       key=lambda g: cp.homogenizing_magnitudes[g])
+
+        def builder(cand, s):
+            return build_infinity_condition(hom, hom_indices, *cand)
+
+        suspected = sorted(((group_of(cp), cp) for cp in suspects),
+                           key=lambda it: it[1].homogenizing_magnitudes[it[0]])
+        yield lambda: _descend_and_validate(
+            "infinity",
+            stabilize(builder, suspected, p_hat, seed=s0, stop_on_plateau=False,
+                      tol=rank_tol),
+            points, s0, _validate_infinity, hom, positions, good, seed,
+            infinity_tol / VALIDATION_TIGHTENING,
         )
-        groups_of.append(g)
 
-    def builder(cand, s):
-        return build_infinity_condition(hom, hom_indices, *cand)
-
-    candidates = sorted(
-        zip(groups_of, suspects),
-        key=lambda it: it[1].homogenizing_magnitudes[it[0]],
-    )
-    stab = stabilize(
-        builder, candidates, p_hat, seed=seed, stop_on_plateau=False, tol=rank_tol,
-    )
-    return _descend_and_validate(
-        "infinity", stab, points, seed, _validate_infinity, hom, positions, good,
-        seed, infinity_tol / VALIDATION_TIGHTENING,
-    )
+    return _first_validated(seed, candidates)
 
 
 def _validate_infinity(res, fiber, hom, positions, results_hat, seed, tight_tol):
@@ -284,36 +299,27 @@ def _witness_candidates(ws):
 
 def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
                          rank_tol=None):
-    """Impose that degree_d witness points of a D-dimensional set are exact."""
+    """Impose that degree_d witness points of a D-dimensional set are exact.
+    Candidates are runs of degree_d consecutive witness candidates, the
+    shift-th at s0 + 97·shift."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    ws = witness_superset(f, p_hat, dim_D, seed=seed)
-    candidates = _witness_candidates(ws)
-    if len(candidates) < degree_d:
-        raise StructureNotFoundError(
-            f"found {len(candidates)} candidate witness points, need {degree_d}"
-        )
 
-    def outcomes():
-        for attempt in range(3):  # a failed descent retries with fresh slices
-            for shift in range(len(candidates) - degree_d + 1):
-                chosen = candidates[shift: shift + degree_d]
-                s0 = seed + 97 * shift + 1013 * attempt
+    def candidates(s0):
+        ws = witness_superset(f, p_hat, dim_D, seed=s0)
+        cands = _witness_candidates(ws)
+        if len(cands) < degree_d:
+            raise StructureNotFoundError(
+                f"found {len(cands)} candidate witness points, need {degree_d}"
+            )
+        for shift in range(len(cands) - degree_d + 1):
+            def builder(trial, s, chosen=cands[shift: shift + degree_d]):
+                return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
-                def builder(trial, s):
-                    return build_witness_condition(f, dim_D, chosen, ws, seed=s)
+            yield _copies("positive_dim", builder, p_hat, s0 + 97 * shift, n_trials,
+                          rank_tol, ws.points, _validate_positive_dim,
+                          f, dim_D, degree_d, seed)
 
-                try:
-                    stab = _stabilize_copies(builder, p_hat, s0, n_trials, rank_tol)
-                except StabilizationError:
-                    continue
-                yield _descend_and_validate(
-                    "positive_dim", stab, ws.points, s0, _validate_positive_dim,
-                    f, dim_D, degree_d, seed,
-                )
-
-    return _first_validated(
-        outcomes(), "no candidate witness subset produced a stabilizing condition"
-    )
+    return _first_validated(seed, candidates)
 
 
 def _validate_positive_dim(res, fiber, f, dim_D, degree_d, seed):
@@ -341,45 +347,42 @@ def _validate_positive_dim(res, fiber, f, dim_D, degree_d, seed):
 
 def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
                    rank_tol=None):
-    """Impose a vanishing second-derivative trace over a witness subset."""
+    """Impose a vanishing second-derivative trace over a witness subset.
+    Candidates are the subsets whose trace is below ``TRACE_TOL`` of the
+    scale, smallest and then nearest zero first."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    var = f.indices(VARIABLE, AUXILIARY)
-    n = len(var)
+    n = len(f.indices(VARIABLE, AUXILIARY))
     if len(f.polynomials) != n - dim_D:
         raise ValueError("factor pipeline expects an (n-D)-equation system")
-    ws = witness_superset(f, p_hat, dim_D, seed=seed)
-    witness = [cp for cp in ws.points
-               if cp.labels & {NEAR_SOLUTION, AMBIGUOUS}]
-    witness = _dedupe(witness)
-    if len(witness) < 2:
-        raise StructureNotFoundError("fewer than two witness points; nothing to split")
-    wpts = [cp.point for cp in witness]
-    td = trace_data(ws.sliced_system, wpts, move_index=n - dim_D, alpha_seed=seed)
-    scale = max(np.linalg.norm(w) for w in td.second_derivs)
-    r_total = len(wpts)
-    best_subset = None
-    for s, val in sorted(td.subset_traces.items(), key=lambda kv: (len(kv[0]), abs(kv[1]))):
-        if len(s) == r_total:
-            continue  # full-set trace always vanishes; imposes nothing
-        if subset_size is not None and len(s) != subset_size:
-            continue
-        if abs(val) < TRACE_TOL * scale:
-            best_subset = sorted(s)
-            break
-    if best_subset is None:
-        raise StructureNotFoundError(
-            f"no witness subset has a trace below {TRACE_TOL:g} of scale {scale:g}"
-        )
-    subset_pts = [wpts[j] for j in best_subset]
 
-    def builder(trial, s):
-        return build_trace_condition(f, dim_D, subset_pts, p_hat, seed=s, detection=ws)
+    def candidates(s0):
+        ws = witness_superset(f, p_hat, dim_D, seed=s0)
+        witness = _dedupe([cp for cp in ws.points
+                           if cp.labels & {NEAR_SOLUTION, AMBIGUOUS}])
+        if len(witness) < 2:
+            raise StructureNotFoundError("fewer than two witness points; nothing to split")
+        wpts = [cp.point for cp in witness]
+        td = trace_data(ws.sliced_system, wpts, move_index=n - dim_D, alpha_seed=s0)
+        scale = max(np.linalg.norm(w) for w in td.second_derivs)
+        # the full-set trace always vanishes, so it imposes nothing
+        subsets = [
+            sorted(s) for s, val in sorted(td.subset_traces.items(),
+                                           key=lambda kv: (len(kv[0]), abs(kv[1])))
+            if len(s) < len(wpts) and subset_size in (None, len(s))
+            and abs(val) < TRACE_TOL * scale
+        ]
+        if not subsets:
+            raise StructureNotFoundError(
+                f"no witness subset has a trace below {TRACE_TOL:g} of scale {scale:g}"
+            )
+        for subset in subsets:
+            def builder(trial, s, pts=[wpts[j] for j in subset]):
+                return build_trace_condition(f, dim_D, pts, p_hat, seed=s, detection=ws)
 
-    stab = _stabilize_copies(builder, p_hat, seed, n_trials, rank_tol)
-    return _descend_and_validate(
-        "factor", stab, ws.points, seed, _validate_factor,
-        f, ws, wpts, best_subset, dim_D, seed,
-    )
+            yield _copies("factor", builder, p_hat, s0, n_trials, rank_tol, ws.points,
+                          _validate_factor, f, ws, wpts, subset, dim_D, seed)
+
+    return _first_validated(seed, candidates)
 
 
 def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
@@ -412,30 +415,28 @@ def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
 
 def recover_multiplicity(f, p_hat, prefix=HILBERT_PREFIX, dim_D=1, seed=0, n_trials=1,
                          rank_tol=None):
-    """Impose a multiplicity-two component via a rank-deficient Jacobian."""
+    """Impose a multiplicity-two component via a rank-deficient Jacobian.
+    Candidates are the finite detection points, ordered by how nearly the
+    original system vanishes; the persistence check in validation rejects
+    wrong picks, so this order only decides how many descents are run."""
     p_hat = np.asarray(p_hat, dtype=complex)
 
-    def outcomes():
-        for attempt in range(2):  # a detection none of whose candidates validates is redrawn
-            s0 = seed + 1013 * attempt
-            ws = witness_superset(f, p_hat, dim_D, seed=s0)
-            sliced_param = ws.parameterized
-            # candidates ordered by how nearly the original system vanishes;
-            # the persistence check in validation rejects wrong picks, so
-            # this order only decides how many descents are attempted
-            scored = [cp for cp in ws.points if np.all(np.isfinite(cp.point))]
-            scored.sort(key=lambda cp: cp.residual_full_system)
-            for cand in scored:
-                def builder(trial, s):
-                    return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
+    def candidates(s0):
+        ws = witness_superset(f, p_hat, dim_D, seed=s0)
+        sliced_param = ws.parameterized
+        scored = sorted((cp for cp in ws.points if np.all(np.isfinite(cp.point))),
+                        key=lambda cp: cp.residual_full_system)
+        if not scored:
+            raise StructureNotFoundError("no witness points to examine")
+        for cand in _dedupe(scored):
+            def builder(trial, s, cand=cand):
+                return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
 
-                stab = _stabilize_copies(builder, p_hat, s0, n_trials, rank_tol)
-                yield _descend_and_validate(
-                    "multiplicity", stab, ws.points, s0, _validate_multiplicity,
-                    f, sliced_param, prefix, dim_D, seed,
-                )
+            yield _copies("multiplicity", builder, p_hat, s0, n_trials, rank_tol,
+                          ws.points, _validate_multiplicity,
+                          f, sliced_param, prefix, dim_D, seed)
 
-    return _first_validated(outcomes(), "no witness points to examine")
+    return _first_validated(seed, candidates)
 
 
 def _validate_multiplicity(res, fiber, f, sliced_param, prefix, dim_D, seed):

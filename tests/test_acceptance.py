@@ -185,23 +185,31 @@ def test_fourbar_recovery_dimension_table_and_coupled_parameters():
     assert _elapsed(t0) < 300.0
 
 
-def test_fourbar_at_run_seed_3_ends_not_validated():
-    """fourbar run through its problem file at run seed 3 ends
-    ``not-validated``, pinned as it behaves today.
+def test_fourbar_at_run_seed_3_validates():
+    """fourbar run through its problem file at run seed 3 validates, with the
+    table and the reference p* of run seed 0.
 
-    Why this is wrong: a run seed picks other random slices and paths, not
-    another answer, and at run seed 0 the same file recovers p* within 1e-3
-    of the reference.  At seed 3 stabilization gives the same table, but the
-    candidate that is returned descends to a complex p* (relative |Im p*|
-    9.0e-3 for a real p̂) whose subset trace, 5.9e-4, is 240 times the
-    validation threshold of 2.5e-6.
+    The first detection's only subset under the trace tolerance descends to a
+    complex p* (relative |Im p*| 9.0e-3 for a real p-hat), whose subset trace
+    is 240 times the validation threshold.  The candidate loop then redraws
+    the detection at seed 3 + 1013 and validates there.
     """
+    *_, p_star = load("fourbar")
     out = ProblemFile.load(FIXTURES / "fourbar.json").run(seed=3)
+    assert out.validated and out.result.status == "recovered"
     assert out.stabilization.dims == [3, 2, 2, 2]
-    assert not out.validated and out.result.status == "not-validated"
-    validation = out.result.validation
-    assert validation["subset_trace"] > 100 * validation["threshold"]
-    assert validation["imag_p_star"] > 1e-3
+    assert np.max(np.abs(np.imag(out.result.p_star))) <= 1e-12
+    assert np.max(np.abs(np.real(out.result.p_star) - p_star)) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["double_root", "infinity_example",
+                                  "infinity_example_2hom", "posdim", "zeke_quartic",
+                                  "multiplicity_line", "fourbar"])
+def test_every_fast_fixture_validates_at_run_seeds_0_to_9(name):
+    """A run seed picks other random slices and paths, not another answer."""
+    prob = ProblemFile.load(FIXTURES / f"{name}.json")
+    failed = [seed for seed in range(10) if not prob.run(seed=seed).validated]
+    assert failed == []
 
 
 # -- Stewart-Gough platform (extended) ---------------------------------------
@@ -312,21 +320,38 @@ def test_wide_study_samples_validate_at_a_point_that_is_not_nearest(sample, p_st
     assert np.linalg.norm(_parabola_nearest(p_hat) - p_hat) == pytest.approx(nearest, abs=0.01)
 
 
-@pytest.mark.parametrize("sample, nearest", [(82, 0.34), (97, 0.76)])
-def test_wide_study_samples_that_end_not_validated(sample, nearest):
-    """multiplicity_line at sigma 0.3, study seed 1: samples 82 and 97 end
-    ``not-validated``, pinned as they behave today.
+def test_wide_study_sample_82_validates_at_the_nearest_point():
+    """multiplicity_line at sigma 0.3, study seed 1: sample 82 validates at
+    the nearest point of the parabola, 0.34 from p-hat.
 
-    Why this is wrong: the nearest point lies 0.34 and 0.76 from p̂, yet no
-    candidate validates.  The engine returns the last one tried, a descent
-    that ends at a complex p* (relative |Im p*| 0.17 and 0.96) 8.0 and 23.3
-    from p̂, where the candidate's point does not solve f(.; p*) (residual
-    1.24 and 0.96).
+    Its first two detections give no candidate that validates: each descent
+    ends at a complex p* where the candidate's point does not solve f(.; p*).
+    The third detection, at run seed + 2·1013, validates.
+    """
+    p_hat, outcome = _study_sample("multiplicity_line", 0.3, 1, 82)
+    assert outcome.validated and outcome.result.status == "recovered"
+    nearest = _parabola_nearest(p_hat)
+    assert np.linalg.norm(nearest - p_hat) == pytest.approx(0.34, abs=0.01)
+    assert np.real(outcome.result.p_star) == pytest.approx(nearest, abs=1e-8)
+
+
+@pytest.mark.parametrize("sample, nearest", [(97, 0.76)])
+def test_wide_study_samples_that_end_not_validated(sample, nearest):
+    """multiplicity_line at sigma 0.3, study seed 1: sample 97 ends
+    ``not-validated``, pinned as it behaves today.
+
+    Why this is wrong: the nearest point lies 0.76 from p-hat, yet no
+    candidate of the three detections validates.  The engine returns the last
+    one tried, a descent that ends at a complex p* (relative |Im p*| 0.65)
+    2.81 from p-hat, where the candidate's point does not solve f(.; p*)
+    (residual 0.36).
     """
     p_hat, outcome = _study_sample("multiplicity_line", 0.3, 1, sample)
     assert not outcome.validated and outcome.result.status == "not-validated"
-    assert outcome.result.validation["imag_p_star"] > 0.1
-    assert outcome.result.distance > 5.0
+    validation = outcome.result.validation
+    assert validation["imag_p_star"] == pytest.approx(0.65, abs=0.01)
+    assert validation["solution_residual"] == pytest.approx(0.36, abs=0.01)
+    assert outcome.result.distance == pytest.approx(2.81, abs=0.01)
     assert np.linalg.norm(_parabola_nearest(p_hat) - p_hat) == pytest.approx(nearest, abs=0.01)
 
 

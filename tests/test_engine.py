@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nearex import engine
 from nearex.algebra import parse_system, seeded_rng
 from nearex.engine import (
     StructureNotFoundError,
@@ -10,6 +11,7 @@ from nearex.engine import (
     recover_multiplicity,
     recover_positive_dim,
 )
+from nearex.fiberprod import StabilizationError
 from nearex.fixtures import FIXTURE_DIR, load
 from nearex.problem import ProblemFile
 from nearex.structure import solution_residual
@@ -149,24 +151,67 @@ def test_run_outcome_reports_component_growth():
     assert out.fiber.system_size() in stab.sizes
 
 
-def test_last_failing_study_sample_ends_not_validated():
-    """multiplicity_line at study seed 10, sample 73 (run seed 83), the one
-    sample of study seeds 0-11 that still fails, pinned as it fails today.
+def test_study_sample_validates_at_its_third_detection():
+    """multiplicity_line at study seed 10, sample 73 (run seed 83) validates
+    on the parabola, at its nearest point.
 
-    Why it fails: both detections (the first and the redrawn one) give three
-    complex witness points, none of which nearly solves f(.; p-hat) (the
-    first detection's smallest residual is 0.026).  Of the six descents, one
-    ends singular and five end at a complex p*, 2.3 to 21.6 away from p-hat
-    with relative |Im p*| from 0.17 to 0.94, where the candidate's point does
-    not solve f(.; p*) (residual 0.15 to 1.25).  No candidate validates, so
-    the engine returns the last one tried.
+    Its first two detections give three complex witness points each, none of
+    which nearly solves f(.; p-hat) (the first detection's smallest residual
+    is 0.026).  Of their descents, one ends singular and the rest end at a
+    complex p* where the candidate's point does not solve f(.; p*).  The
+    third detection, at run seed + 2·1013, validates.
     """
     prob = ProblemFile.load(FIXTURE_DIR / "multiplicity_line.json")
     # drawn as `nearex study` draws sample 73 at seed 10, sigma 0.1
     p_hat = np.real(prob.p_tilde) + 0.1 * seeded_rng(10, 29, 73).normal(size=2)
     assert p_hat == pytest.approx([1.252, 0.944], abs=1e-3)
     outcome = dataclasses.replace(prob, p_hat=p_hat.astype(complex)).run(seed=10 + 73)
-    assert not outcome.validated
-    assert outcome.result.status == "not-validated"
-    assert outcome.result.p_star == pytest.approx([4.770 + 0.234j, 7.325 - 20.371j], abs=1e-3)
-    assert outcome.result.validation["imag_p_star"] > 0.5
+    assert outcome.validated and outcome.result.status == "recovered"
+    assert outcome.result.p_star == pytest.approx([1.0267, 1.0541], abs=1e-4)
+    p = np.real(outcome.result.p_star)
+    assert abs(p[0] ** 2 - p[1]) < 1e-8
+
+
+PIPELINE_FIXTURES = [
+    ("posdim", "_validate_positive_dim", "witness_superset"),
+    ("zeke_quartic", "_validate_factor", "witness_superset"),
+    ("multiplicity_line", "_validate_multiplicity", "witness_superset"),
+    ("infinity_example", "_validate_infinity", "homogenize"),
+]
+
+
+@pytest.mark.parametrize("name, validator, detector", PIPELINE_FIXTURES,
+                         ids=[row[0] for row in PIPELINE_FIXTURES])
+def test_a_run_that_never_validates_redraws_its_detection(monkeypatch, name, validator,
+                                                          detector):
+    # every pipeline detects at seed + REDRAW·k for k < ATTEMPTS, tries every
+    # candidate, and returns the last outcome when none validates
+    seeds, calls = [], []
+    detect = getattr(engine, detector)
+
+    def recording_detect(*args, seed):
+        seeds.append(seed)
+        return detect(*args, seed=seed)
+
+    def failing_validate(*args):
+        calls.append(len(calls))
+        return {"passed": False, "call": calls[-1]}
+
+    monkeypatch.setattr(engine, detector, recording_detect)
+    monkeypatch.setattr(engine, validator, failing_validate)
+    out = ProblemFile.load(FIXTURE_DIR / f"{name}.json").run(seed=5)
+    assert seeds == [5, 5 + engine.REDRAW, 5 + 2 * engine.REDRAW]
+    assert not out.validated and out.result.status == "not-validated"
+    assert len(calls) >= engine.ATTEMPTS
+    assert out.result.validation["call"] == calls[-1]
+
+
+@pytest.mark.parametrize("name", [row[0] for row in PIPELINE_FIXTURES])
+def test_a_run_whose_every_stabilization_fails_ends_in_stabilization_error(monkeypatch,
+                                                                          name):
+    def failing_stabilize(*args, **kwargs):
+        raise StabilizationError("trial 1: rejected")
+
+    monkeypatch.setattr(engine, "stabilize", failing_stabilize)
+    with pytest.raises(StabilizationError):
+        ProblemFile.load(FIXTURE_DIR / f"{name}.json").run(seed=0)
