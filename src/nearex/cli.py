@@ -29,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import StructureNotFoundError
+from .engine import DEDUPE_RADIUS, StructureNotFoundError
 from .fiberprod import StabilizationError
 from .problem import ProblemError, ProblemFile
 from .recover import histogram_data, report, sample_study, study_csv
+from .structure import cluster_points
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -104,17 +105,19 @@ def _json_dump(doc):
 
 
 def points_csv(points):
-    """Classified detection points as CSV: residuals, labels, magnitudes."""
+    """Classified detection points as CSV: clusters of points within
+    ``DEDUPE_RADIUS``, labels, residuals, magnitudes."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     n_coord = len(points[0].point) if points else 0
     header = ["index", "cluster", "labels", "residual", "hom_magnitudes"]
     header += [f"abs_x{i+1}" for i in range(n_coord)]
     w.writerow(header)
-    for i, cp in enumerate(points):
+    clusters = cluster_points(points, DEDUPE_RADIUS)
+    for i, (cp, cluster) in enumerate(zip(points, clusters)):
         row = [
             i,
-            "" if cp.cluster_id is None else cp.cluster_id,
+            cluster,
             ";".join(sorted(cp.labels)),
             f"{cp.residual_full_system:.16g}",
             ";".join(f"{m:.16g}" for m in cp.homogenizing_magnitudes),

@@ -51,7 +51,6 @@ class ClassifiedPoint:
     point: np.ndarray
     residual_full_system: float = np.inf
     homogenizing_magnitudes: list = field(default_factory=list)
-    cluster_id: int = None
     labels: set = field(default_factory=set)
 
     def is_near_infinity(self, group=None):
@@ -171,8 +170,6 @@ def cluster_points(points, radius):
         if r not in labels:
             labels[r] = len(labels)
         out.append(labels[r])
-        if isinstance(points[i], ClassifiedPoint):
-            points[i].cluster_id = labels[r]
     return out
 
 

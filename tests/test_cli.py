@@ -24,6 +24,10 @@ def test_recover_posdim_exits_zero_and_writes_reports(tmp_path):
     lines = (tmp_path / "points.csv").read_text().strip().split("\n")
     assert lines[0].startswith("index,cluster,labels,residual")
     assert len(lines) > 1
+    # every point is clustered, not only the ones a pipeline deduplicated
+    clusters = [line.split(",")[1] for line in lines[1:]]
+    assert all(c.isdigit() for c in clusters)
+    assert clusters[0] == "0"
 
 
 def test_recover_is_byte_identical_across_runs(tmp_path):
