@@ -4,11 +4,10 @@
 For each fixture this runs the full detection + stabilization + descent
 pipeline and reports the status, the stabilization dimension/size tables,
 the recovered parameters, and their distance to the shipped reference
-values.  The Stewart-Gough fixture takes ~20 s and is skipped unless
-``--extended`` is given; the 6R fixture only runs its detection stage.
+values.  The 6R fixture only runs its detection stage.
 
 Usage:
-    python3 scripts/reproduce_results.py [--extended] [fixture ...]
+    python3 scripts/reproduce_results.py [fixture ...]
 """
 
 import argparse
@@ -27,8 +26,7 @@ from nearex.tracker import solve_total_degree  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DEFAULT = ["double_root", "infinity_example", "infinity_example_2hom",
-           "posdim", "zeke_quartic", "multiplicity_line", "fourbar"]
-EXTENDED = ["stewart_gough"]
+           "posdim", "zeke_quartic", "multiplicity_line", "fourbar", "stewart_gough"]
 
 
 def run_fixture(name):
@@ -74,10 +72,8 @@ def run_sixr_detection():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fixtures", nargs="*", help="fixture names (default: all)")
-    ap.add_argument("--extended", action="store_true",
-                    help="include the Stewart-Gough recovery")
     args = ap.parse_args()
-    names = args.fixtures or DEFAULT + (EXTENDED if args.extended else [])
+    names = args.fixtures or DEFAULT
     for name in names:
         if name == "sixR":
             run_sixr_detection()

@@ -2,8 +2,7 @@
 
 Every test exercises a full pipeline on a shipped fixture and asserts the
 published reference values at their stated tolerances, plus a wall-clock
-budget.  The long Stewart-Gough recovery is marked ``extended`` and only
-runs with ``pytest --run-extended``.
+budget.
 """
 
 import dataclasses
@@ -212,10 +211,9 @@ def test_every_fast_fixture_validates_at_run_seeds_0_to_9(name):
     assert failed == []
 
 
-# -- Stewart-Gough platform (extended) ---------------------------------------
+# -- Stewart-Gough platform ---------------------------------------------------
 
 
-@pytest.mark.extended
 def test_stewart_gough_recovery_matches_reference():
     t0 = time.monotonic()
     f, _, p_hat, p_star = load("stewart_gough")
