@@ -136,11 +136,11 @@ def _descend_and_validate(structure, stab, points, patch_seed, validate, *args):
                       points=points)
 
 
-def _copies(structure, builder, p_hat, s0, n_trials, rank_tol, points, validate, *args):
-    """One candidate as the loop runs it: stabilize repeated copies of its
-    condition at s0, then descend and validate.  A pinned ``n_trials`` is
-    scanned in full; by default the scan stops at the first plateau, after at
-    most one copy per parameter plus one."""
+def _candidate(structure, builder, p_hat, s0, n_trials, rank_tol, points, validate, *args):
+    """One candidate as the loop runs it: a callable that stabilizes repeated
+    copies of its condition at s0, then descends and validates.  A pinned
+    ``n_trials`` is scanned in full; by default the scan stops at the first
+    plateau, after at most one copy per parameter plus one."""
     if n_trials is None:
         trials, plateau = range(len(p_hat) + 1), True
     else:
@@ -315,7 +315,7 @@ def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
             def builder(trial, s, chosen=cands[shift: shift + degree_d]):
                 return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
-            yield _copies("positive_dim", builder, p_hat, s0 + 97 * shift, n_trials,
+            yield _candidate("positive_dim", builder, p_hat, s0 + 97 * shift, n_trials,
                           rank_tol, ws.points, _validate_positive_dim,
                           f, dim_D, degree_d, seed)
 
@@ -379,7 +379,7 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
             def builder(trial, s, pts=[wpts[j] for j in subset]):
                 return build_trace_condition(f, dim_D, pts, p_hat, seed=s, detection=ws)
 
-            yield _copies("factor", builder, p_hat, s0, n_trials, rank_tol, ws.points,
+            yield _candidate("factor", builder, p_hat, s0, n_trials, rank_tol, ws.points,
                           _validate_factor, f, ws, wpts, subset, dim_D, seed)
 
     return _first_validated(seed, candidates)
@@ -432,7 +432,7 @@ def recover_multiplicity(f, p_hat, prefix=HILBERT_PREFIX, dim_D=1, seed=0, n_tri
             def builder(trial, s, cand=cand):
                 return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
 
-            yield _copies("multiplicity", builder, p_hat, s0, n_trials, rank_tol,
+            yield _candidate("multiplicity", builder, p_hat, s0, n_trials, rank_tol,
                           ws.points, _validate_multiplicity,
                           f, sliced_param, prefix, dim_D, seed)
 
