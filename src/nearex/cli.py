@@ -31,7 +31,7 @@ import numpy as np
 
 from .engine import DEDUPE_RADIUS, StructureNotFoundError
 from .fiberprod import StabilizationError
-from .problem import ProblemError, ProblemFile
+from .problem import OPTIONS, ProblemError, ProblemFile
 from .recover import histogram_data, report, sample_study, study_csv
 from .structure import cluster_points
 
@@ -75,7 +75,7 @@ def build_parser():
 
 def _overrides(args):
     out = {}
-    for key in ("seed", "tol_rank", "tol_infinity", "max_components"):
+    for key in OPTIONS:
         val = getattr(args, key)
         if val is not None:
             out[key] = val

@@ -345,24 +345,23 @@ def _validate_positive_dim(res, fiber, f, dim_D, degree_d, seed):
 # -- trace test / factorization ---------------------------------------------
 
 
-def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
-                   rank_tol=None):
-    """Impose a vanishing second-derivative trace over a witness subset.
-    Candidates are the subsets whose trace is below ``TRACE_TOL`` of the
-    scale, smallest and then nearest zero first."""
+def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=None):
+    """Impose a vanishing second-derivative trace over a witness subset of a
+    curve.  Candidates are the subsets whose trace is below ``TRACE_TOL`` of
+    the scale, smallest and then nearest zero first."""
     p_hat = np.asarray(p_hat, dtype=complex)
     n = len(f.indices(VARIABLE, AUXILIARY))
-    if len(f.polynomials) != n - dim_D:
-        raise ValueError("factor pipeline expects an (n-D)-equation system")
+    if len(f.polynomials) != n - 1:
+        raise ValueError("factor pipeline expects an (n-1)-equation system")
 
     def candidates(s0):
-        ws = witness_superset(f, p_hat, dim_D, seed=s0)
+        ws = witness_superset(f, p_hat, 1, seed=s0)
         witness = _dedupe([cp for cp in ws.points
                            if cp.labels & {NEAR_SOLUTION, AMBIGUOUS}])
         if len(witness) < 2:
             raise StructureNotFoundError("fewer than two witness points; nothing to split")
         wpts = [cp.point for cp in witness]
-        td = trace_data(ws.sliced_system, wpts, move_index=n - dim_D, alpha_seed=s0)
+        td = trace_data(ws.sliced_system, wpts, move_index=n - 1, alpha_seed=s0)
         scale = max(np.linalg.norm(w) for w in td.second_derivs)
         # the full-set trace always vanishes, so it imposes nothing
         subsets = [
@@ -377,15 +376,15 @@ def recover_factor(f, p_hat, dim_D=1, subset_size=None, seed=0, n_trials=None,
             )
         for subset in subsets:
             def builder(trial, s, pts=[wpts[j] for j in subset]):
-                return build_trace_condition(f, dim_D, pts, p_hat, seed=s, detection=ws)
+                return build_trace_condition(f, pts, p_hat, seed=s, detection=ws)
 
             yield _candidate("factor", builder, p_hat, s0, n_trials, rank_tol, ws.points,
-                          _validate_factor, f, ws, wpts, subset, dim_D, seed)
+                          _validate_factor, f, ws, wpts, subset, seed)
 
     return _first_validated(seed, candidates)
 
 
-def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
+def _validate_factor(res, fiber, f, ws, wpts, subset, seed):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
     if res.status != "recovered":
@@ -397,7 +396,7 @@ def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
         return {"passed": False, "error": "witness tracking to p_star failed"}
     moved = [r.endpoint for r in tracked]
     fstar = sliced_param.substitute_params(res.p_star)
-    td = trace_data(fstar, moved, move_index=n - dim_D, alpha_seed=seed)
+    td = trace_data(fstar, moved, move_index=n - 1, alpha_seed=seed)
     scale = max(np.linalg.norm(w) for w in td.second_derivs)
     value = abs(td.trace(subset))
     tight = TRACE_TOL / VALIDATION_TIGHTENING ** 2 * scale
@@ -413,8 +412,7 @@ def _validate_factor(res, fiber, f, ws, wpts, subset, dim_D, seed):
 # -- multiplicity ------------------------------------------------------------
 
 
-def recover_multiplicity(f, p_hat, prefix=HILBERT_PREFIX, dim_D=1, seed=0, n_trials=1,
-                         rank_tol=None):
+def recover_multiplicity(f, p_hat, dim_D=1, seed=0, n_trials=1, rank_tol=None):
     """Impose a multiplicity-two component via a rank-deficient Jacobian.
     Candidates are the finite detection points, ordered by how nearly the
     original system vanishes; the persistence check in validation rejects
@@ -430,16 +428,16 @@ def recover_multiplicity(f, p_hat, prefix=HILBERT_PREFIX, dim_D=1, seed=0, n_tri
             raise StructureNotFoundError("no witness points to examine")
         for cand in _dedupe(scored):
             def builder(trial, s, cand=cand):
-                return build_hilbert_condition(sliced_param, cand, prefix, p_hat, seed=s)
+                return build_hilbert_condition(sliced_param, cand, p_hat, seed=s)
 
             yield _candidate("multiplicity", builder, p_hat, s0, n_trials, rank_tol,
                           ws.points, _validate_multiplicity,
-                          f, sliced_param, prefix, dim_D, seed)
+                          f, sliced_param, dim_D, seed)
 
     return _first_validated(seed, candidates)
 
 
-def _validate_multiplicity(res, fiber, f, sliced_param, prefix, dim_D, seed):
+def _validate_multiplicity(res, fiber, f, sliced_param, dim_D, seed):
     if res.status != "recovered":
         return None
     # the first n coordinates of the first block are the witness point at p*
@@ -448,10 +446,10 @@ def _validate_multiplicity(res, fiber, f, sliced_param, prefix, dim_D, seed):
     x_star = res.endpoint[blk_start: blk_start + n_x]
     fp = sliced_param.substitute_params(res.p_star)
     try:
-        prof = local_hilbert(fp, x_star, d_max=len(prefix) + 1)
+        prof = local_hilbert(fp, x_star, d_max=len(HILBERT_PREFIX) + 1)
     except ValueError as exc:
         return {"passed": False, "error": str(exc)}
-    expected = list(prefix) + [0]
+    expected = list(HILBERT_PREFIX) + [0]
 
     # persistence: a true multiple component stays singular on a fresh,
     # independent slice; a mere slice tangency does not

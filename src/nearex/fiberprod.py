@@ -209,11 +209,12 @@ def build_witness_condition(f, dim_D, points, detection, seed=0):
     )
 
 
-def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
-    """Condition: the second-derivative trace over ``subset`` vanishes.
+def build_trace_condition(f, subset, p_hat, detection, seed=0):
+    """Condition: the second-derivative trace over ``subset`` of a curve
+    vanishes.
 
     r copies of {f, shared slice, first- and second-order bordered systems}
-    plus one scalar trace equation.  Requires ``f`` to already have n−D
+    plus one scalar trace equation.  Requires ``f`` to already have n−1
     equations (randomize beforehand if not).  Start auxiliaries are the
     bordered solves at the perturbed parameters on the fresh slice.
     """
@@ -223,21 +224,18 @@ def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
     var = f.indices(VARIABLE, AUXILIARY)
     n = len(var)
     m = len(f.polynomials)
-    if m != n - dim_D:
-        raise ValueError(
-            f"trace condition needs n-D = {n - dim_D} equations, got {m}; randomize first"
-        )
-    if dim_D != 1:
-        raise ValueError("trace conditions are implemented for curves (D=1) only")
+    if m != n - 1:
+        raise ValueError(f"trace condition needs n-1 = {n - 1} equations, got {m}; "
+                         f"randomize first")
     rng = seeded_rng(seed, 13)
-    coeffs = unit_complex(rng, (dim_D, n + 1))
+    coeffs = unit_complex(rng, (1, n + 1))
     alpha = unit_complex(rng, n)
     pts = move_to_slice(detection, subset, coeffs)
 
     # start auxiliaries: bordered solves on the fresh slice at p_hat
     fp = f.substitute_params(p_hat)
     f_sliced = fp.with_polynomials(fp.polynomials + [affine_row(coeffs[0], range(n), n)])
-    td = trace_data(f_sliced, pts, move_index=n - dim_D, alpha_seed=seed)
+    td = trace_data(f_sliced, pts, move_index=n - 1, alpha_seed=seed)
 
     # one copy over f's indeterminates with xdot and xddot appended
     arity = f.arity + 2 * n
@@ -273,15 +271,13 @@ def build_trace_condition(f, dim_D, subset, p_hat, detection, seed=0):
     )
 
 
-def build_hilbert_condition(f_sliced, point, hilbert_prefix, p_hat, seed=0):
+def build_hilbert_condition(f_sliced, point, p_hat, seed=0):
     """Condition: a rank-deficient Jacobian of the sliced system.
 
     For the local Hilbert function prefix :data:`HILBERT_PREFIX`, (1, 1), the
     null-space condition collapses to ``J f_sliced(x;p) · R₁ · [λ; 1] = 0``
-    with a generic unitary R₁ and auxiliary λ.  No other prefix is supported.
+    with a generic unitary R₁ and auxiliary λ, the one prefix supported.
     """
-    if tuple(hilbert_prefix) != HILBERT_PREFIX:
-        raise ValueError(f"only the multiplicity-two prefix {HILBERT_PREFIX} is supported")
     var = f_sliced.indices(VARIABLE, AUXILIARY)
     par = f_sliced.indices(PARAMETER)
     n = len(var)

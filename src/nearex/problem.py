@@ -16,15 +16,16 @@ Schema::
 
 Kind-specific fields, for n unknowns: ``infinity``: ``groups`` (lists of
 variable names that partition the variables; default one group);
-``positive_dim``: ``dim`` (1 to n − 1), ``degree`` (at least 1); ``factor``:
-``dim`` (1), ``subset_size`` (at least 1); ``multiplicity``: ``prefix`` (only
-``[1, 1]``), ``dim`` (0 to n − 1).  Options: ``seed`` (at least 0);
+``positive_dim``: ``dim`` (1 to n − 1), ``degree`` (at least 1); ``factor``
+(of a curve): ``subset_size`` (at least 1); ``multiplicity`` (two, local
+Hilbert function prefix (1, 1)): ``dim`` (0 to n − 1).  Options: ``seed`` (at least 0);
 ``tol_rank``, the rank tolerance of every image dimension; ``tol_infinity``
 (``infinity`` only); ``max_components`` (at least 1, pins the number of
 stabilization trials; not for ``infinity``, which imposes one condition per
 suspect solution).  Counts are whole numbers, tolerances positive finite
-numbers.  The system has n equations for ``infinity``, n − dim for
-``factor``, and at least n − dim for ``positive_dim`` and ``multiplicity``.
+numbers.  The system has n equations for ``infinity``, n − 1 for ``factor``,
+and at least n − dim for ``positive_dim`` and ``multiplicity`` (``dim``
+defaults to 1).
 What is left out, or null, keeps the pipeline's default; anything else, such
 as an unknown field or option, a value out of range or a wrong equation
 count, is a :class:`ProblemError` when the file is loaded, before any
@@ -34,7 +35,6 @@ detection.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import math
 import numbers
@@ -44,15 +44,14 @@ import numpy as np
 
 from . import engine
 from .algebra import AUXILIARY, VARIABLE, parse_system
-from .fiberprod import HILBERT_PREFIX
 from .recover import json_number
 
 # per kind: the pipeline, and the keyword each structure field is passed as
 PIPELINES = {
     "infinity": (engine.recover_infinity, {"groups": "groups"}),
     "positive_dim": (engine.recover_positive_dim, {"dim": "dim_D", "degree": "degree_d"}),
-    "factor": (engine.recover_factor, {"dim": "dim_D", "subset_size": "subset_size"}),
-    "multiplicity": (engine.recover_multiplicity, {"prefix": "prefix", "dim": "dim_D"}),
+    "factor": (engine.recover_factor, {"subset_size": "subset_size"}),
+    "multiplicity": (engine.recover_multiplicity, {"dim": "dim_D"}),
 }
 OPTIONS = {"seed": "seed", "tol_rank": "rank_tol", "tol_infinity": "infinity_tol",
            "max_components": "n_trials"}
@@ -192,26 +191,16 @@ class ProblemFile:
         if unknown:
             raise ProblemError(f"unknown field(s) {unknown} for a {self.kind} structure")
         n = len(system.indices(VARIABLE, AUXILIARY))
-        _check_whole("dim", st.get("dim"), 0 if self.kind == "multiplicity" else 1,
-                     1 if self.kind == "factor" else n - 1)
+        _check_whole("dim", st.get("dim"), 0 if self.kind == "multiplicity" else 1, n - 1)
         _check_whole("degree", st.get("degree"), 1)
         _check_whole("subset_size", st.get("subset_size"), 1)
-        prefix = st.get("prefix")
-        if prefix is not None and not (isinstance(prefix, (list, tuple))
-                                       and tuple(prefix) == HILBERT_PREFIX):
-            raise ProblemError(f"prefix must be {list(HILBERT_PREFIX)}, the one supported, "
-                               f"got {prefix!r}")
         variables = [system.names[i] for i in system.indices(VARIABLE)]
         if st.get("groups") is not None and not _partitions(st["groups"], variables):
             raise ProblemError(f"groups must be lists of variable names that partition "
                                f"{variables}, got {st['groups']!r}")
         m = len(system.polynomials)
-        need = n
-        if self.kind != "infinity":
-            dim = st.get("dim")
-            if dim is None:
-                dim = inspect.signature(PIPELINES[self.kind][0]).parameters["dim_D"].default
-            need -= dim
+        dim = 1 if st.get("dim") is None else st["dim"]
+        need = n if self.kind == "infinity" else n - dim
         exact = self.kind in ("infinity", "factor")
         if m < need or (exact and m > need):
             raise ProblemError(f"a {self.kind} structure needs {'' if exact else 'at least '}"

@@ -142,7 +142,7 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
         assert min(errs) < 1e-5
         unmatched.remove(k)
 
-    out = recover_factor(f, p_hat, dim_D=1, subset_size=2, n_trials=5, seed=0)
+    out = recover_factor(f, p_hat, subset_size=2, n_trials=5, seed=0)
     assert out.validated
     assert out.stabilization.dims == [9, 8, 7, 6, 6]
     assert out.stabilization.sizes == [35, 60, 85, 110, 135]
@@ -156,7 +156,7 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
 def test_multiplicity_recovery_matches_reference_and_hilbert_function():
     t0 = time.monotonic()
     f, _, p_hat, p_star = load("multiplicity_line")
-    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0)
+    out = recover_multiplicity(f, p_hat, dim_D=1, seed=0)
     assert out.validated
     p = np.real(out.result.p_star)
     assert np.max(np.abs(p - p_star)) < 1e-3
@@ -173,7 +173,7 @@ def test_multiplicity_recovery_matches_reference_and_hilbert_function():
 def test_fourbar_recovery_dimension_table_and_coupled_parameters():
     t0 = time.monotonic()
     f, _, p_hat, p_star = load("fourbar")
-    out = recover_factor(f, p_hat, dim_D=1, subset_size=2, n_trials=4, seed=0)
+    out = recover_factor(f, p_hat, subset_size=2, n_trials=4, seed=0)
     assert out.validated
     assert out.stabilization.dims == [3, 2, 2, 2]
     assert out.stabilization.sizes == [53, 102, 151, 200]

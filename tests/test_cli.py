@@ -126,7 +126,7 @@ def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, section,
     ("fourbar", "drop-last", None),
     ("infinity_example", "repeat-first", None),
     ("infinity_example", "drop-last", None),
-    ("multiplicity_line", "drop-last", {"kind": "multiplicity", "prefix": [1, 1], "dim": 0}),
+    ("multiplicity_line", "drop-last", {"kind": "multiplicity", "dim": 0}),
     ("fourbar", "drop-last", {"kind": "positive_dim", "dim": 1}),
 ], ids=["factor-too-many", "factor-too-few", "infinity-too-many", "infinity-too-few",
         "multiplicity-too-few", "positive-dim-too-few"])

@@ -71,7 +71,7 @@ def test_positive_dim_impossible_degree_fails_cleanly():
 
 def test_multiplicity_recovery_lands_on_parabola():
     f, _, p_hat, p_star = load("multiplicity_line")
-    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=0)
+    out = recover_multiplicity(f, p_hat, dim_D=1, seed=0)
     assert out.validated
     p = np.real(out.result.p_star)
     assert abs(p[0] ** 2 - p[1]) < 1e-8
@@ -89,7 +89,7 @@ def test_multiplicity_study_samples_are_on_the_parabola_or_not_validated(sample)
     f, p_tilde, _, _ = load("multiplicity_line")
     rng = seeded_rng(0, 29, sample)
     p_hat = np.real(p_tilde) + 0.1 * rng.normal(size=2)
-    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=sample)
+    out = recover_multiplicity(f, p_hat, dim_D=1, seed=sample)
     res = out.result
     assert res.success == out.validated
     if not res.success:
@@ -111,7 +111,7 @@ def test_multiplicity_retries_a_detection_whose_candidates_all_fail():
     f, p_tilde, _, _ = load("multiplicity_line")
     rng = seeded_rng(0, 29, 44)
     p_hat = np.real(p_tilde) + 0.1 * rng.normal(size=2)
-    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=1, seed=44)
+    out = recover_multiplicity(f, p_hat, dim_D=1, seed=44)
     assert out.validated
     assert np.max(np.abs(np.imag(out.result.p_star))) <= 1e-6
     p = np.real(out.result.p_star)
@@ -120,7 +120,7 @@ def test_multiplicity_retries_a_detection_whose_candidates_all_fail():
 
 def test_multiplicity_zero_dimensional_double_root():
     f, _, p_hat, _ = load("double_root")
-    out = recover_multiplicity(f, p_hat, prefix=(1, 1), dim_D=0, seed=0)
+    out = recover_multiplicity(f, p_hat, dim_D=0, seed=0)
     assert out.validated
     assert out.result.p_star[0] == pytest.approx(2.828427116497461, abs=1e-6)
     assert out.result.p_star[1] == pytest.approx(1.999999988334534, abs=1e-6)

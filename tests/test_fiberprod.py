@@ -41,10 +41,11 @@ def test_witness_condition_start_block_nearly_satisfies_it():
 
 def test_trace_condition_requires_square_curve_setup():
     f, p_hat, ws, cands = posdim_detection()
+    square = f.with_polynomials(f.polynomials + f.polynomials[:1])
+    with pytest.raises(ValueError, match="n-1"):
+        build_trace_condition(square, cands[:1], seed=0, p_hat=p_hat, detection=ws)
     with pytest.raises(ValueError):
-        build_trace_condition(f, 2, cands[:1], seed=0, p_hat=p_hat, detection=ws)
-    with pytest.raises(ValueError):
-        build_trace_condition(f, 1, [], seed=0, p_hat=p_hat, detection=ws)
+        build_trace_condition(f, [], seed=0, p_hat=p_hat, detection=ws)
 
 
 def test_hilbert_condition_restricted_to_multiplicity_two():
@@ -53,11 +54,7 @@ def test_hilbert_condition_restricted_to_multiplicity_two():
     ws = witness_superset(f, p_hat, 1, seed=0)
     sliced = ws.parameterized
     cand = min(ws.points, key=lambda cp: cp.residual_full_system)
-    with pytest.raises(ValueError):
-        build_hilbert_condition(sliced, cand, (1, 2), seed=0, p_hat=p_hat)
-    with pytest.raises(ValueError):
-        build_hilbert_condition(sliced, cand, (2,), seed=0, p_hat=p_hat)
-    comp = build_hilbert_condition(sliced, cand, (1, 1), seed=0, p_hat=p_hat)
+    comp = build_hilbert_condition(sliced, cand, seed=0, p_hat=p_hat)
     n = len(sliced.indices("variable", "auxiliary"))
     assert comp.block_size == n + (n - 1)  # point plus null-vector auxiliaries
 

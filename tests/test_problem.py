@@ -17,7 +17,7 @@ FIXTURE_DIR = ROOT / "fixtures"
 MINIMAL = {
     "system": "vars x; params p1, p2; poly x^2 + p1*x + p2;",
     "p_hat": [2.8284271, 2.0],
-    "structure": {"kind": "multiplicity", "prefix": [1, 1], "dim": 0},
+    "structure": {"kind": "multiplicity", "dim": 0},
 }
 
 
@@ -85,8 +85,7 @@ def test_run_passes_what_the_file_gives_and_nothing_else(monkeypatch):
     ProblemFile.from_dict(MINIMAL).run()
     ProblemFile.from_dict(dict(MINIMAL, options={"seed": 3, "max_components": 2})).run(
         seed=5, overrides={"tol_rank": 1e-7})
-    assert calls == [{"prefix": [1, 1], "dim_D": 0},
-                     {"prefix": [1, 1], "dim_D": 0, "seed": 5, "n_trials": 2, "rank_tol": 1e-7}]
+    assert calls == [{"dim_D": 0}, {"dim_D": 0, "seed": 5, "n_trials": 2, "rank_tol": 1e-7}]
 
 
 def test_round_trip_preserves_equality():
