@@ -16,21 +16,24 @@ A pipeline states only how it detects at a seed s0 and the order of its
 candidates; :func:`_first_validated` is the one loop over them.  Attempt k
 of ``ATTEMPTS`` detects at s0 = seed + ``REDRAW``·k, and every seed the
 detection derives (slices, start systems, copies of a condition, the
-Lagrange patch) follows s0; validation keeps the run's own seed.  Each
-candidate stabilizes a fiber product, even of one condition, then descends
-and validates through one shared tail.  The first validated outcome wins,
-else the last one tried.  A run with no outcome re-raises the last
-``StabilizationError``, and when no candidate reached stabilization it ends
-in :class:`StructureNotFoundError` with the last detection's reason.
+Lagrange patch) follows s0; validation keeps the run's own seed.  Every
+candidate of every pipeline runs through one tail, :func:`_candidate`: it
+stabilizes a fiber product, even of one condition, descends and validates.
+The first validated outcome wins, else the last one tried.  A run with no
+outcome re-raises the last ``StabilizationError``, and when no candidate
+reached stabilization it ends in :class:`StructureNotFoundError` with the
+last detection's reason.
 
-Validation re-runs the detection at the recovered parameters with thresholds
-100× tighter than detection and reports pass/fail alongside the result.  It
-also checks that the recovered point is real when p̂ is (relative ‖Im p*‖ at
-most 1e-6), and the multiplicity pipeline checks that the double point x*
-solves f(·; p*) itself, not only the randomized and sliced system.  Success
-means a validated recovery: a run whose validation fails, or never runs
-because the descent did not end at a usable point, has status
-``"not-validated"``.
+A pipeline's membership check re-runs the detection at the recovered
+parameters with thresholds 100× tighter than detection; the multiplicity
+pipeline also checks that the double point x* solves f(·; p*) itself, not
+only the randomized and sliced system.  The tail decides the rest, once for
+all four pipelines: the membership check runs only when the descent ended in
+a status the pipeline can judge, the tail adds the realness check (p* is
+real when p̂ is, relative ‖Im p*‖ at most 1e-6) to what it reports, and it
+relabels a run that does not pass.  Success means a validated recovery: a
+run whose validation fails, or never runs because the descent did not end at
+a usable point, has status ``"not-validated"``.
 """
 
 from __future__ import annotations
@@ -94,25 +97,13 @@ class RunOutcome:
     stabilization: StabilizeResult
     points: list  # the classified detection points (ClassifiedPoint)
 
-    def __post_init__(self):
-        # status follows validation, so RecoveryResult.success means a
-        # validated recovery everywhere the result is read
-        if not self.validated:
-            validation = self.result.validation or {
-                "passed": False,
-                "error": f"not run: descent ended {self.result.status}",
-            }
-            self.result = replace(self.result, status="not-validated",
-                                  validation=validation)
-
     @property
     def fiber(self):
         return self.stabilization.fiber_product
 
     @property
     def validated(self):
-        return bool(self.result.success and self.result.validation
-                    and self.result.validation.get("passed"))
+        return bool(self.result.validation["passed"])
 
 
 def _check_real(validation, p_hat, p_star):
@@ -125,32 +116,40 @@ def _check_real(validation, p_hat, p_star):
     return validation
 
 
-def _descend_and_validate(structure, stab, points, patch_seed, validate, *args):
-    """Descend from the stabilized fiber product and validate the endpoint:
-    ``validate(res, fiber, *args)`` returns the validation dict, or None when
-    it cannot judge the status the descent ended with."""
-    fiber = stab.fiber_product
-    res = descend(build_lagrange(fiber, patch_seed=patch_seed))
-    res.validation = validate(res, fiber, *args)
-    return RunOutcome(structure=structure, result=res, stabilization=stab,
-                      points=points)
+def _candidate(structure, stabilized, points, patch_seed, validate, judged):
+    """One candidate as the loop runs it, the one tail of every pipeline: a
+    callable that runs ``stabilized()`` for the fiber product, descends from
+    it and validates the endpoint.  ``validate(res, fiber)`` returns the
+    pipeline's membership dict and runs only when the descent ended in a
+    status of ``judged``; the realness check is added to every dict it
+    returns.  A run that does not pass is relabelled ``not-validated``, so
+    RecoveryResult.success means a validated recovery wherever it is read."""
+    def run():
+        stab = stabilized()
+        fiber = stab.fiber_product
+        res = descend(build_lagrange(fiber, patch_seed=patch_seed))
+        if res.status in judged:
+            validation = _check_real(validate(res, fiber), fiber.p_hat, res.p_star)
+        else:
+            validation = {"passed": False, "error": f"not run: descent ended {res.status}"}
+        if not validation["passed"]:
+            res = replace(res, status="not-validated")
+        res.validation = validation
+        return RunOutcome(structure=structure, result=res, stabilization=stab,
+                          points=points)
+    return run
 
 
-def _candidate(structure, builder, p_hat, s0, n_trials, rank_tol, points, validate, *args):
-    """One candidate as the loop runs it: a callable that stabilizes repeated
-    copies of its condition at s0, then descends and validates.  A pinned
-    ``n_trials`` is scanned in full; by default the scan stops at the first
-    plateau, after at most one copy per parameter plus one."""
+def _copies(builder, p_hat, s0, n_trials, rank_tol):
+    """A callable that stabilizes repeated copies of a condition at s0.  A
+    pinned ``n_trials`` is scanned in full; by default the scan stops at the
+    first plateau, after at most one copy per parameter plus one."""
     if n_trials is None:
         trials, plateau = range(len(p_hat) + 1), True
     else:
         trials, plateau = range(n_trials), False
-
-    def run():
-        stab = stabilize(builder, trials, p_hat, seed=s0, stop_on_plateau=plateau,
-                         cumulative=True, tol=rank_tol)
-        return _descend_and_validate(structure, stab, points, s0, validate, *args)
-    return run
+    return lambda: stabilize(builder, trials, p_hat, seed=s0, stop_on_plateau=plateau,
+                             cumulative=True, tol=rank_tol)
 
 
 def _first_validated(seed, candidates):
@@ -242,21 +241,20 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
 
         suspected = sorted(((group_of(cp), cp) for cp in suspects),
                            key=lambda it: it[1].homogenizing_magnitudes[it[0]])
-        yield lambda: _descend_and_validate(
+        yield _candidate(
             "infinity",
-            stabilize(builder, suspected, p_hat, seed=s0, stop_on_plateau=False,
-                      tol=rank_tol),
-            points, s0, _validate_infinity, hom, positions, good, seed,
-            infinity_tol / VALIDATION_TIGHTENING,
+            lambda: stabilize(builder, suspected, p_hat, seed=s0, stop_on_plateau=False,
+                              tol=rank_tol),
+            points, s0,
+            lambda res, fiber: _validate_infinity(res, fiber, hom, positions, good, seed,
+                                                  infinity_tol / VALIDATION_TIGHTENING),
+            {"recovered", "recovered-singular"},
         )
 
     return _first_validated(seed, candidates)
 
 
 def _validate_infinity(res, fiber, hom, positions, results_hat, seed, tight_tol):
-    if not res.success:
-        return None
-
     def at_infinity(results):
         # near-infinity endpoints per group at the tightened threshold
         pts = classify_infinity([ClassifiedPoint(point=r.endpoint) for r in results],
@@ -272,13 +270,13 @@ def _validate_infinity(res, fiber, hom, positions, results_hat, seed, tight_tol)
     passed = all(
         cs >= ch + im for cs, ch, im in zip(counts_star, counts_hat, imposed)
     )
-    return _check_real({
+    return {
         "passed": bool(passed),
         "at_infinity_before": counts_hat,
         "at_infinity_after": counts_star,
         "imposed": imposed,
         "threshold": tight_tol,
-    }, fiber.p_hat, res.p_star)
+    }
 
 
 # -- positive-dimensional components ----------------------------------------
@@ -315,31 +313,34 @@ def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
             def builder(trial, s, chosen=cands[shift: shift + degree_d]):
                 return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
-            yield _candidate("positive_dim", builder, p_hat, s0 + 97 * shift, n_trials,
-                          rank_tol, ws.points, _validate_positive_dim,
-                          f, dim_D, degree_d, seed)
+            s_shift = s0 + 97 * shift
+            yield _candidate(
+                "positive_dim", _copies(builder, p_hat, s_shift, n_trials, rank_tol),
+                ws.points, s_shift,
+                lambda res, fiber: _validate_positive_dim(res, f, dim_D, degree_d, seed),
+                # a positive-dimensional witness recovery ends at a regular
+                # point of the critical system; a salvaged singular endpoint
+                # means the path strayed onto a branch of the parameter
+                # projection
+                {"recovered"},
+            )
 
     return _first_validated(seed, candidates)
 
 
-def _validate_positive_dim(res, fiber, f, dim_D, degree_d, seed):
-    # a positive-dimensional witness recovery ends at a regular point of the
-    # critical system; a salvaged singular endpoint means the path strayed
-    # onto a branch of the parameter projection
-    if res.status != "recovered":
-        return None
+def _validate_positive_dim(res, f, dim_D, degree_d, seed):
     ws = witness_superset(f, res.p_star, dim_D, seed=seed)
     residuals = sorted(
         cp.residual_full_system for cp in ws.points if np.isfinite(cp.residual_full_system)
     )
     exact = [r for r in residuals if r < TIGHT_TOL]
-    return _check_real({
+    return {
         "passed": len(exact) >= degree_d,
         "exact_witness_points": len(exact),
         "required": degree_d,
         "best_residuals": residuals[: degree_d + 1],
         "threshold": TIGHT_TOL,
-    }, fiber.p_hat, res.p_star)
+    }
 
 
 # -- trace test / factorization ---------------------------------------------
@@ -378,8 +379,11 @@ def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=N
             def builder(trial, s, pts=[wpts[j] for j in subset]):
                 return build_trace_condition(f, pts, p_hat, seed=s, detection=ws)
 
-            yield _candidate("factor", builder, p_hat, s0, n_trials, rank_tol, ws.points,
-                          _validate_factor, f, ws, wpts, subset, seed)
+            def validate(res, fiber, subset=subset):
+                return _validate_factor(res, fiber, f, ws, wpts, subset, seed)
+
+            yield _candidate("factor", _copies(builder, p_hat, s0, n_trials, rank_tol),
+                             ws.points, s0, validate, {"recovered"})
 
     return _first_validated(seed, candidates)
 
@@ -387,8 +391,6 @@ def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=N
 def _validate_factor(res, fiber, f, ws, wpts, subset, seed):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
-    if res.status != "recovered":
-        return None
     n = len(f.indices(VARIABLE, AUXILIARY))
     sliced_param = ws.parameterized
     tracked = parameter_homotopy(sliced_param, fiber.p_hat, res.p_star, wpts)
@@ -400,13 +402,13 @@ def _validate_factor(res, fiber, f, ws, wpts, subset, seed):
     scale = max(np.linalg.norm(w) for w in td.second_derivs)
     value = abs(td.trace(subset))
     tight = TRACE_TOL / VALIDATION_TIGHTENING ** 2 * scale
-    return _check_real({
+    return {
         "passed": value <= tight,
         "subset_trace": value,
         "scale": scale,
         "threshold": tight,
         "subset": list(subset),
-    }, fiber.p_hat, res.p_star)
+    }
 
 
 # -- multiplicity ------------------------------------------------------------
@@ -426,20 +428,21 @@ def recover_multiplicity(f, p_hat, dim_D=1, seed=0, n_trials=1, rank_tol=None):
                         key=lambda cp: cp.residual_full_system)
         if not scored:
             raise StructureNotFoundError("no witness points to examine")
+
+        def validate(res, fiber):
+            return _validate_multiplicity(res, fiber, f, sliced_param, dim_D, seed)
+
         for cand in _dedupe(scored):
             def builder(trial, s, cand=cand):
                 return build_hilbert_condition(sliced_param, cand, p_hat, seed=s)
 
-            yield _candidate("multiplicity", builder, p_hat, s0, n_trials, rank_tol,
-                          ws.points, _validate_multiplicity,
-                          f, sliced_param, dim_D, seed)
+            yield _candidate("multiplicity", _copies(builder, p_hat, s0, n_trials, rank_tol),
+                             ws.points, s0, validate, {"recovered"})
 
     return _first_validated(seed, candidates)
 
 
 def _validate_multiplicity(res, fiber, f, sliced_param, dim_D, seed):
-    if res.status != "recovered":
-        return None
     # the first n coordinates of the first block are the witness point at p*
     blk_start, _ = fiber.block_slices[0]
     n_x = len(sliced_param.indices(VARIABLE, AUXILIARY))
@@ -476,11 +479,11 @@ def _validate_multiplicity(res, fiber, f, sliced_param, dim_D, seed):
     # membership: both checks above see only the randomized, sliced system,
     # whose solution set is larger than V(f); x* must solve f itself
     residual = solution_residual(f.substitute_params(res.p_star), x_star)
-    return _check_real({
+    return {
         "passed": prof.hilbert == expected and persists and residual < TIGHT_TOL,
         "hilbert": prof.hilbert,
         "expected": expected,
         "multiplicity": prof.multiplicity,
         "fresh_slice_ratio": fresh_ratio,
         "solution_residual": residual,
-    }, fiber.p_hat, res.p_star)
+    }

@@ -124,9 +124,9 @@ class RecoveryResult:
 
     @property
     def success(self):
-        """A ``recovered*`` status.  The engine pipelines relabel every run
-        that does not validate as ``not-validated``, so on their results this
-        means a validated recovery."""
+        """A ``recovered*`` status.  The engine's one candidate tail relabels
+        every run that does not validate as ``not-validated``, so on the
+        results of its pipelines this means a validated recovery."""
         return self.status.startswith("recovered")
 
 

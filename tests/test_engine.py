@@ -185,25 +185,49 @@ PIPELINE_FIXTURES = [
 def test_a_run_that_never_validates_redraws_its_detection(monkeypatch, name, validator,
                                                           detector):
     # every pipeline detects at seed + REDRAW·k for k < ATTEMPTS, tries every
-    # candidate, and returns the last outcome when none validates
-    seeds, calls = [], []
-    detect = getattr(engine, detector)
+    # candidate, and returns the last outcome when none validates; a descent
+    # whose status the pipeline does not judge never reaches the validator,
+    # so the last descent, not the last validator call, names that outcome
+    seeds, calls, endpoints = [], [], []
+    detect, descend = getattr(engine, detector), engine.descend
 
     def recording_detect(*args, seed):
         seeds.append(seed)
         return detect(*args, seed=seed)
 
+    def recording_descend(G):
+        res = descend(G)
+        endpoints.append(res.endpoint)
+        return res
+
     def failing_validate(*args):
         calls.append(len(calls))
-        return {"passed": False, "call": calls[-1]}
+        return {"passed": False}
 
     monkeypatch.setattr(engine, detector, recording_detect)
+    monkeypatch.setattr(engine, "descend", recording_descend)
     monkeypatch.setattr(engine, validator, failing_validate)
     out = ProblemFile.load(FIXTURE_DIR / f"{name}.json").run(seed=5)
     assert seeds == [5, 5 + engine.REDRAW, 5 + 2 * engine.REDRAW]
     assert not out.validated and out.result.status == "not-validated"
     assert len(calls) >= engine.ATTEMPTS
-    assert out.result.validation["call"] == calls[-1]
+    assert out.result.endpoint is endpoints[-1]
+
+
+@pytest.mark.parametrize("name", [row[0] for row in PIPELINE_FIXTURES])
+def test_a_descent_status_the_pipeline_does_not_judge_skips_validation(monkeypatch, name):
+    # infinity judges a salvaged singular endpoint; the other three do not,
+    # so their runs end not-validated with the check reported as not run
+    descend = engine.descend
+    monkeypatch.setattr(engine, "descend", lambda G: dataclasses.replace(
+        descend(G), status="recovered-singular"))
+    out = ProblemFile.load(FIXTURE_DIR / f"{name}.json").run(seed=0)
+    if name == "infinity_example":
+        assert "at_infinity_after" in out.result.validation
+    else:
+        assert not out.validated and out.result.status == "not-validated"
+        assert out.result.validation == {
+            "passed": False, "error": "not run: descent ended recovered-singular"}
 
 
 @pytest.mark.parametrize("name", [row[0] for row in PIPELINE_FIXTURES])
