@@ -6,7 +6,7 @@ Schema::
     {
       "name": "...",                    # optional label
       "system": "vars ...; params ...; poly ...;",
-      "p_hat": [..],                    # floats or [re, im] pairs
+      "p_hat": [..],                    # finite numbers or [re, im] pairs
       "p_tilde": [..],                  # optional nominal point for studies
       "structure": {"kind": "infinity" | "positive_dim" | "factor"
                             | "multiplicity", ...kind-specific fields},
@@ -17,17 +17,18 @@ Schema::
 Kind-specific fields, for n unknowns: ``infinity``: ``groups`` (lists of
 variable names that partition the variables; default one group);
 ``positive_dim``: ``dim`` (1 to n − 1), ``degree`` (at least 1); ``factor``
-(of a curve): ``subset_size`` (at least 1); ``multiplicity`` (two, local
-Hilbert function prefix (1, 1)): ``dim`` (0 to n − 1).  Options: ``seed`` (at least 0);
-``tol_rank``, the rank tolerance of every image dimension; ``tol_infinity``
-(``infinity`` only); ``max_components`` (at least 1, pins the number of
-stabilization trials; not for ``infinity``, which imposes one condition per
-suspect solution).  Counts are whole numbers, tolerances positive finite
-numbers.  The system has n equations for ``infinity``, n − 1 for ``factor``,
-and at least n − dim for ``positive_dim`` and ``multiplicity`` (``dim``
-defaults to 1).
-What is left out, or null, keeps the pipeline's default; anything else, such
-as an unknown field or option, a value out of range or a wrong equation
+(of a curve): ``subset_size`` (at least 1); ``multiplicity`` (multiplicity
+two, local Hilbert function prefix (1, 1)): ``dim`` (0 to n − 1).  Options:
+``seed`` (at least 0); ``tol_rank``, the rank tolerance of every image
+dimension; ``tol_infinity`` (``infinity`` only); ``max_components`` (at least
+1, pins the number of stabilization trials; not for ``infinity``, which
+imposes one condition per suspect solution).  Counts are whole numbers,
+tolerances positive finite numbers, the entries of ``p_hat`` and ``p_tilde``
+finite numbers or [re, im] pairs of them.  The system has n equations for
+``infinity``, n − 1 for ``factor``, and at least n − dim for ``positive_dim``
+and ``multiplicity`` (``dim`` defaults to 1).  What is left out, or null,
+keeps the pipeline's default; anything else, such as an unknown field or
+option, a field of the wrong type, a value out of range or a wrong equation
 count, is a :class:`ProblemError` when the file is loaded, before any
 detection.
 """
@@ -68,15 +69,26 @@ def _parse(source):
     return parse_system(source)
 
 
+def _finite(v):
+    """Whether ``v`` is a finite real number (a bool is not)."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _complex_list(values, what):
+    if not isinstance(values, (list, tuple)):
+        raise ProblemError(f"{what} must be a list, got {values!r}")
     out = []
     for v in values:
-        if isinstance(v, (int, float)):
+        if _finite(v):
             out.append(complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+        elif isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)):
             out.append(complex(v[0], v[1]))
         else:
-            raise ProblemError(f"{what}: entries must be numbers or [re, im] pairs")
+            raise ProblemError(f"{what}: entries must be finite numbers or [re, im] pairs "
+                               f"of them, got {v!r}")
     return np.array(out, dtype=complex)
 
 
@@ -118,28 +130,30 @@ class ProblemFile:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            source = data["system"]
-            p_hat = _complex_list(data["p_hat"], "p_hat")
-            structure = dict(data["structure"])
-        except KeyError as exc:
-            raise ProblemError(f"missing required field {exc.args[0]!r}") from None
-        except TypeError:
-            raise ProblemError("problem file must be a JSON object") from None
+        if not isinstance(data, dict):
+            raise ProblemError("problem file must be a JSON object")
         unknown = sorted(set(data) - set(TOP_LEVEL))
         if unknown:
             raise ProblemError(f"unknown field(s) {unknown}; a problem file has {TOP_LEVEL}")
+        data = {k: v for k, v in data.items() if v is not None}  # null is left out
+        for key in ("system", "p_hat", "structure"):
+            if key not in data:
+                raise ProblemError(f"missing required field {key!r}")
+        for key, kind, what in (("name", str, "a string"), ("system", str, "a string"),
+                                ("structure", dict, "an object"),
+                                ("options", dict, "an object")):
+            if key in data and not isinstance(data[key], kind):
+                raise ProblemError(f"{key} must be {what}, got {data[key]!r}")
+        structure = dict(data["structure"])
         kind = structure.get("kind")
         if kind not in PIPELINES:
             raise ProblemError(f"structure.kind must be one of {tuple(PIPELINES)}, got {kind!r}")
         p_tilde = data.get("p_tilde")
-        if p_tilde is not None:
-            p_tilde = _complex_list(p_tilde, "p_tilde")
         prob = cls(
-            source=source,
-            p_hat=p_hat,
+            source=data["system"],
+            p_hat=_complex_list(data["p_hat"], "p_hat"),
             structure=structure,
-            p_tilde=p_tilde,
+            p_tilde=None if p_tilde is None else _complex_list(p_tilde, "p_tilde"),
             options=dict(data.get("options", {})),
             name=data.get("name", ""),
         )

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -105,18 +106,34 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     ("multiplicity_line", "structure", {"dim": True}),
     ("infinity_example_2hom", "structure", {"groups": [["x1"]]}),
     ("posdim", None, {"p_tidle": [1.1, -2.2]}),
+    ("posdim", None, {"options": [1, 2]}),
+    ("posdim", None, {"options": "ab"}),
+    ("posdim", None, {"system": 3}),
+    ("posdim", None, {"p_tilde": 3}),
+    ("posdim", None, {"p_hat": [math.inf, -2.2]}),
+    ("posdim", None, {"p_hat": [math.nan, -2.2]}),
+    ("posdim", None, {"p_hat": [True, -2.2]}),
+    ("posdim", None, {"p_tilde": [[1.1, math.inf], -2.2]}),
+    ("posdim", None, {"structure": None}),
+    ("posdim", None, {"p_hat": 3}),
+    ("posdim", None, {"name": 3}),
 ], ids=["max-components", "tol-rank", "tol-infinity", "unknown-option", "seed-not-whole",
         "unknown-structure-field", "dim-not-whole", "dim-above-range", "degree-0",
         "factor-dim-2", "subset-size-0", "prefix-1-2", "dim-bool", "groups-not-a-partition",
-        "unknown-top-level-field"])
-def test_option_out_of_range_in_the_file_is_rejected(tmp_path, fixture, section, fields):
+        "unknown-top-level-field", "options-a-list", "options-a-string", "system-a-number",
+        "p-tilde-a-number", "p-hat-infinite", "p-hat-nan", "p-hat-bool",
+        "p-tilde-pair-infinite", "structure-null", "p-hat-a-number", "name-a-number"])
+def test_option_out_of_range_in_the_file_is_rejected(tmp_path, capsys, fixture, section,
+                                                     fields):
     doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
     (doc if section is None else doc[section]).update(fields)
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    # rejected on loading, before any detection and before any output
+    # rejected on loading, before any detection and before any output, by a
+    # message that names the field
     assert run_cli("recover", problem, "--out-dir", out) == 1
+    assert all(key in capsys.readouterr().err for key in fields)
     assert run_cli("study", problem, "--n", 3, "--out-dir", out) == 1
     assert not out.exists()
 

@@ -70,6 +70,12 @@ def test_complex_entries_as_pairs():
         ProblemFile.from_dict(dict(MINIMAL, p_hat=["x", 2.0]))
 
 
+def test_a_null_optional_field_is_left_out():
+    prob = ProblemFile.from_dict(dict(MINIMAL, name=None, p_tilde=None, options=None))
+    assert prob == ProblemFile.from_dict(MINIMAL)
+    assert prob.options == {} and prob.name == "" and prob.p_tilde is None
+
+
 def test_every_field_and_option_is_a_keyword_of_its_pipeline():
     for kind, (pipeline, fields) in PIPELINES.items():
         keywords = set(inspect.signature(pipeline).parameters)
