@@ -17,23 +17,20 @@ candidates; :func:`_first_validated` is the one loop over them.  Attempt k
 of ``ATTEMPTS`` detects at s0 = seed + ``REDRAW``·k, and every seed the
 detection derives (slices, start systems, copies of a condition, the
 Lagrange patch) follows s0; validation keeps the run's own seed.  Every
-candidate of every pipeline runs through one tail, :func:`_candidate`: it
-stabilizes a fiber product, even of one condition, descends and validates.
-The first validated outcome wins, else the last one tried.  A run with no
-outcome re-raises the last ``StabilizationError``, and when no candidate
-reached stabilization it ends in :class:`StructureNotFoundError` with the
-last detection's reason.
+candidate runs through one tail, :func:`_candidate`: it stabilizes a fiber
+product, even of one condition, descends and validates.  The first validated
+outcome wins, else the last one tried.  A run with no outcome re-raises the
+last ``StabilizationError``, and when no candidate reached stabilization it
+ends in :class:`StructureNotFoundError` with the last detection's reason.
 
 A pipeline's membership check re-runs the detection at the recovered
 parameters with thresholds 100× tighter than detection; the multiplicity
 pipeline also checks that the double point x* solves f(·; p*) itself, not
-only the randomized and sliced system.  The tail decides the rest, once for
-all four pipelines: the membership check runs only when the descent ended in
-a status the pipeline can judge, the tail adds the realness check (p* is
-real when p̂ is, relative ‖Im p*‖ at most 1e-6) to what it reports, and it
-relabels a run that does not pass.  Success means a validated recovery: a
-run whose validation fails, or never runs because the descent did not end at
-a usable point, has status ``"not-validated"``.
+only the randomized and sliced system.  The tail runs it only when the
+descent ended in a status the pipeline can judge, adds the realness check
+(p* real when p̂ is: relative ‖Im p*‖ at most 1e-6) and relabels a run that
+does not pass, or whose check never runs, as ``"not-validated"``, so success
+means a validated recovery.
 """
 
 from __future__ import annotations
@@ -117,13 +114,10 @@ def _check_real(validation, p_hat, p_star):
 
 
 def _candidate(structure, stabilized, points, patch_seed, validate, judged):
-    """One candidate as the loop runs it, the one tail of every pipeline: a
-    callable that runs ``stabilized()`` for the fiber product, descends from
-    it and validates the endpoint.  ``validate(res, fiber)`` returns the
-    pipeline's membership dict and runs only when the descent ended in a
-    status of ``judged``; the realness check is added to every dict it
-    returns.  A run that does not pass is relabelled ``not-validated``, so
-    RecoveryResult.success means a validated recovery wherever it is read."""
+    """One candidate as the loop runs it: a callable that runs ``stabilized()``
+    for the fiber product, descends, and validates the endpoint with
+    ``validate(res, fiber)``, the pipeline's membership dict, when the descent
+    ended in a status of ``judged``.  The module docstring gives the rest."""
     def run():
         stab = stabilized()
         fiber = stab.fiber_product
@@ -132,11 +126,9 @@ def _candidate(structure, stabilized, points, patch_seed, validate, judged):
             validation = _check_real(validate(res, fiber), fiber.p_hat, res.p_star)
         else:
             validation = {"passed": False, "error": f"not run: descent ended {res.status}"}
-        if not validation["passed"]:
-            res = replace(res, status="not-validated")
-        res.validation = validation
-        return RunOutcome(structure=structure, result=res, stabilization=stab,
-                          points=points)
+        status = res.status if validation["passed"] else "not-validated"
+        return RunOutcome(structure=structure, stabilization=stab, points=points,
+                          result=replace(res, status=status, validation=validation))
     return run
 
 
@@ -241,15 +233,15 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
 
         suspected = sorted(((group_of(cp), cp) for cp in suspects),
                            key=lambda it: it[1].homogenizing_magnitudes[it[0]])
-        yield _candidate(
-            "infinity",
-            lambda: stabilize(builder, suspected, p_hat, seed=s0, stop_on_plateau=False,
-                              tol=rank_tol),
-            points, s0,
-            lambda res, fiber: _validate_infinity(res, fiber, hom, positions, good, seed,
-                                                  infinity_tol / VALIDATION_TIGHTENING),
-            {"recovered", "recovered-singular"},
-        )
+
+        def validate(res, fiber):
+            return _validate_infinity(res, fiber, hom, positions, good, seed,
+                                      infinity_tol / VALIDATION_TIGHTENING)
+
+        yield _candidate("infinity",
+                         lambda: stabilize(builder, suspected, p_hat, seed=s0,
+                                           stop_on_plateau=False, tol=rank_tol),
+                         points, s0, validate, {"recovered", "recovered-singular"})
 
     return _first_validated(seed, candidates)
 
@@ -309,21 +301,21 @@ def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
             raise StructureNotFoundError(
                 f"found {len(cands)} candidate witness points, need {degree_d}"
             )
+
+        def validate(res, fiber):
+            return _validate_positive_dim(res, f, dim_D, degree_d, seed)
+
         for shift in range(len(cands) - degree_d + 1):
             def builder(trial, s, chosen=cands[shift: shift + degree_d]):
                 return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
             s_shift = s0 + 97 * shift
-            yield _candidate(
-                "positive_dim", _copies(builder, p_hat, s_shift, n_trials, rank_tol),
-                ws.points, s_shift,
-                lambda res, fiber: _validate_positive_dim(res, f, dim_D, degree_d, seed),
-                # a positive-dimensional witness recovery ends at a regular
-                # point of the critical system; a salvaged singular endpoint
-                # means the path strayed onto a branch of the parameter
-                # projection
-                {"recovered"},
-            )
+            # a positive-dimensional witness recovery ends at a regular point
+            # of the critical system; a salvaged singular endpoint means the
+            # path strayed onto a branch of the parameter projection
+            yield _candidate("positive_dim",
+                             _copies(builder, p_hat, s_shift, n_trials, rank_tol),
+                             ws.points, s_shift, validate, {"recovered"})
 
     return _first_validated(seed, candidates)
 
