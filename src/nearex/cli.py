@@ -74,12 +74,7 @@ def build_parser():
 
 
 def _overrides(args):
-    out = {}
-    for key in OPTIONS:
-        val = getattr(args, key)
-        if val is not None:
-            out[key] = val
-    return out
+    return {key: getattr(args, key) for key in OPTIONS if getattr(args, key) is not None}
 
 
 def _write(path, text):
