@@ -237,7 +237,7 @@ class ProblemFile:
         _check_whole("max_components", opts.get("max_components"), 1)
         for name in ("tol_rank", "tol_infinity"):
             tol = opts.get(name)
-            if tol is not None and not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            if tol is not None and not (_finite(tol) and tol > 0):
                 raise ProblemError(f"{name} must be a positive finite number, got {tol!r}")
         return opts
 

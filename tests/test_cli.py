@@ -93,6 +93,8 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
 @pytest.mark.parametrize("fixture, section, fields", [
     ("posdim", "options", {"max_components": 0}),
     ("posdim", "options", {"tol_rank": 0.0}),
+    ("posdim", "options", {"tol_rank": 10 ** 400}),
+    ("posdim", "options", {"tol_rank": True}),
     ("infinity_example", "options", {"tol_infinity": 0.0}),
     ("posdim", "options", {"tol_ranks": 1.0}),
     ("posdim", "options", {"seed": 1.5}),
@@ -117,7 +119,8 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     ("posdim", None, {"structure": None}),
     ("posdim", None, {"p_hat": 3}),
     ("posdim", None, {"name": 3}),
-], ids=["max-components", "tol-rank", "tol-infinity", "unknown-option", "seed-not-whole",
+], ids=["max-components", "tol-rank", "tol-rank-beyond-float", "tol-rank-bool",
+        "tol-infinity", "unknown-option", "seed-not-whole",
         "unknown-structure-field", "dim-not-whole", "dim-above-range", "degree-0",
         "factor-dim-2", "subset-size-0", "prefix-1-2", "dim-bool", "groups-not-a-partition",
         "unknown-top-level-field", "options-a-list", "options-a-string", "system-a-number",
