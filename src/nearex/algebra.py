@@ -82,10 +82,10 @@ class Polynomial:
         return cls({(0,) * arity: value}, arity)
 
     @classmethod
-    def variable(cls, index, arity, coeff=1.0):
+    def variable(cls, index, arity):
         exps = [0] * arity
         exps[index] = 1
-        return cls({tuple(exps): coeff}, arity)
+        return cls({tuple(exps): 1.0}, arity)
 
     # -- queries ------------------------------------------------------------
 

@@ -74,7 +74,7 @@ def build_parser():
 
 
 def _overrides(args):
-    return {key: getattr(args, key) for key in OPTIONS if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in OPTIONS}
 
 
 def _write(path, text):

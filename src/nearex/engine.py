@@ -35,6 +35,7 @@ means a validated recovery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,7 @@ VALIDATION_TIGHTENING = 100.0
 TIGHT_TOL = NEAR_SOLUTION_TOL / VALIDATION_TIGHTENING
 DEDUPE_RADIUS = 1e-8  # detection points closer than this are one point
 TRACE_TOL = 1e-2  # a subset trace below this share of the trace scale is near zero
+SUBSET_CAP = 4  # above 8 witness points, trace subsets of at most this size
 ATTEMPTS = 3  # detections per run, the k-th at seed + REDRAW·k
 REDRAW = 1013
 
@@ -133,14 +135,16 @@ def _candidate(structure, stabilized, points, patch_seed, validate, judged):
 
 
 def _copies(builder, p_hat, s0, n_trials, rank_tol):
-    """A callable that stabilizes repeated copies of a condition at s0.  A
-    pinned ``n_trials`` is scanned in full; by default the scan stops at the
-    first plateau, after at most one copy per parameter plus one."""
+    """A callable that stabilizes repeated copies of a condition at s0, copy
+    i built by ``builder(s0 + 1000·(i + 1))``.  A pinned ``n_trials`` is
+    scanned in full; by default the scan stops at the first plateau, after at
+    most one copy per parameter plus one."""
     if n_trials is None:
-        trials, plateau = range(len(p_hat) + 1), True
+        count, plateau = len(p_hat) + 1, True
     else:
-        trials, plateau = range(n_trials), False
-    return lambda: stabilize(builder, trials, p_hat, seed=s0, stop_on_plateau=plateau,
+        count, plateau = n_trials, False
+    seeds = [s0 + 1000 * (i + 1) for i in range(count)]
+    return lambda: stabilize(builder, seeds, p_hat, stop_on_plateau=plateau,
                              cumulative=True, tol=rank_tol)
 
 
@@ -228,9 +232,6 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
             return min((g for g in range(len(groups)) if cp.is_near_infinity(g)),
                        key=lambda g: cp.homogenizing_magnitudes[g])
 
-        def builder(cand, s):
-            return build_infinity_condition(hom, hom_indices, *cand)
-
         suspected = sorted(((group_of(cp), cp) for cp in suspects),
                            key=lambda it: it[1].homogenizing_magnitudes[it[0]])
 
@@ -239,8 +240,9 @@ def recover_infinity(f, p_hat, groups=None, seed=0, infinity_tol=INFINITY_NEAR_T
                                       infinity_tol / VALIDATION_TIGHTENING)
 
         yield _candidate("infinity",
-                         lambda: stabilize(builder, suspected, p_hat, seed=s0,
-                                           stop_on_plateau=False, tol=rank_tol),
+                         lambda: stabilize(
+                             lambda cand: build_infinity_condition(hom, hom_indices, *cand),
+                             suspected, p_hat, stop_on_plateau=False, tol=rank_tol),
                          points, s0, validate, {"recovered", "recovered-singular"})
 
     return _first_validated(seed, candidates)
@@ -302,11 +304,11 @@ def recover_positive_dim(f, p_hat, dim_D=1, degree_d=1, seed=0, n_trials=None,
                 f"found {len(cands)} candidate witness points, need {degree_d}"
             )
 
-        def validate(res, fiber):
+        def validate(res, _fiber):
             return _validate_positive_dim(res, f, dim_D, degree_d, seed)
 
         for shift in range(len(cands) - degree_d + 1):
-            def builder(trial, s, chosen=cands[shift: shift + degree_d]):
+            def builder(s, chosen=cands[shift: shift + degree_d]):
                 return build_witness_condition(f, dim_D, chosen, ws, seed=s)
 
             s_shift = s0 + 97 * shift
@@ -340,11 +342,12 @@ def _validate_positive_dim(res, f, dim_D, degree_d, seed):
 
 def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=None):
     """Impose a vanishing second-derivative trace over a witness subset of a
-    curve.  Candidates are the subsets whose trace is below ``TRACE_TOL`` of
-    the scale, smallest and then nearest zero first."""
+    curve.  Candidates are the proper subsets, of ``subset_size`` points when
+    given and of at most ``SUBSET_CAP`` above 8 witness points, whose trace
+    is below ``TRACE_TOL`` of the scale, smallest and then nearest zero
+    first."""
     p_hat = np.asarray(p_hat, dtype=complex)
-    n = len(f.indices(VARIABLE, AUXILIARY))
-    if len(f.polynomials) != n - 1:
+    if len(f.polynomials) != len(f.indices(VARIABLE, AUXILIARY)) - 1:
         raise ValueError("factor pipeline expects an (n-1)-equation system")
 
     def candidates(s0):
@@ -354,25 +357,26 @@ def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=N
         if len(witness) < 2:
             raise StructureNotFoundError("fewer than two witness points; nothing to split")
         wpts = [cp.point for cp in witness]
-        td = trace_data(ws.sliced_system, wpts, move_index=n - 1, alpha_seed=s0)
-        scale = max(np.linalg.norm(w) for w in td.second_derivs)
-        # the full-set trace always vanishes, so it imposes nothing
-        subsets = [
-            sorted(s) for s, val in sorted(td.subset_traces.items(),
-                                           key=lambda kv: (len(kv[0]), abs(kv[1])))
-            if len(s) < len(wpts) and subset_size in (None, len(s))
-            and abs(val) < TRACE_TOL * scale
-        ]
+        td = trace_data(ws.sliced_system, wpts, alpha_seed=s0)
+        r, scale = len(wpts), td.scale
+        # proper subsets only: the full-set trace always vanishes, so it
+        # imposes nothing
+        traced = [(s, abs(td.trace(s)))
+                  for size in range(1, r if r <= 8 else SUBSET_CAP + 1)
+                  if subset_size in (None, size)
+                  for s in itertools.combinations(range(r), size)]
+        subsets = [list(s) for s, val in sorted(traced, key=lambda it: (len(it[0]), it[1]))
+                   if val < TRACE_TOL * scale]
         if not subsets:
             raise StructureNotFoundError(
                 f"no witness subset has a trace below {TRACE_TOL:g} of scale {scale:g}"
             )
         for subset in subsets:
-            def builder(trial, s, pts=[wpts[j] for j in subset]):
+            def builder(s, pts=[wpts[j] for j in subset]):
                 return build_trace_condition(f, pts, p_hat, seed=s, detection=ws)
 
             def validate(res, fiber, subset=subset):
-                return _validate_factor(res, fiber, f, ws, wpts, subset, seed)
+                return _validate_factor(res, fiber, ws, wpts, subset, seed)
 
             yield _candidate("factor", _copies(builder, p_hat, s0, n_trials, rank_tol),
                              ws.points, s0, validate, {"recovered"})
@@ -380,24 +384,22 @@ def recover_factor(f, p_hat, subset_size=None, seed=0, n_trials=None, rank_tol=N
     return _first_validated(seed, candidates)
 
 
-def _validate_factor(res, fiber, f, ws, wpts, subset, seed):
+def _validate_factor(res, fiber, ws, wpts, subset, seed):
     # track the witness points from p_hat to p_star on the detection slice,
     # then recompute the trace there: it must vanish to working precision
-    n = len(f.indices(VARIABLE, AUXILIARY))
     sliced_param = ws.parameterized
     tracked = parameter_homotopy(sliced_param, fiber.p_hat, res.p_star, wpts)
     if not all(r.success for r in tracked):
         return {"passed": False, "error": "witness tracking to p_star failed"}
     moved = [r.endpoint for r in tracked]
     fstar = sliced_param.substitute_params(res.p_star)
-    td = trace_data(fstar, moved, move_index=n - 1, alpha_seed=seed)
-    scale = max(np.linalg.norm(w) for w in td.second_derivs)
+    td = trace_data(fstar, moved, alpha_seed=seed)
     value = abs(td.trace(subset))
-    tight = TRACE_TOL / VALIDATION_TIGHTENING ** 2 * scale
+    tight = TRACE_TOL / VALIDATION_TIGHTENING ** 2 * td.scale
     return {
         "passed": value <= tight,
         "subset_trace": value,
-        "scale": scale,
+        "scale": td.scale,
         "threshold": tight,
         "subset": list(subset),
     }
@@ -425,7 +427,7 @@ def recover_multiplicity(f, p_hat, dim_D=1, seed=0, n_trials=1, rank_tol=None):
             return _validate_multiplicity(res, fiber, f, sliced_param, dim_D, seed)
 
         for cand in _dedupe(scored):
-            def builder(trial, s, cand=cand):
+            def builder(s, cand=cand):
                 return build_hilbert_condition(sliced_param, cand, p_hat, seed=s)
 
             yield _candidate("multiplicity", _copies(builder, p_hat, s0, n_trials, rank_tol),

@@ -235,7 +235,7 @@ def build_trace_condition(f, subset, p_hat, detection, seed=0):
     # start auxiliaries: bordered solves on the fresh slice at p_hat
     fp = f.substitute_params(p_hat)
     f_sliced = fp.with_polynomials(fp.polynomials + [affine_row(coeffs[0], range(n), n)])
-    td = trace_data(f_sliced, pts, move_index=n - 1, alpha_seed=seed)
+    td = trace_data(f_sliced, pts, alpha_seed=seed)
 
     # one copy over f's indeterminates with xdot and xddot appended
     arity = f.arity + 2 * n
@@ -357,15 +357,15 @@ class StabilizeResult:
     accepted: list  # whether each candidate was kept
 
 
-def stabilize(builder, candidates, p_hat, tol=None,
-              seed=0, stop_on_plateau=True, cumulative=False):
+def stabilize(builder, candidates, p_hat, tol=None, stop_on_plateau=True,
+              cumulative=False):
     """Assemble conditions while the image dimension keeps dropping.
 
-    ``builder(candidate, seed)`` returns a fresh ConditionSystem
-    (fresh random constants per call).  Candidates are tried in order and
-    the image dimension and size of each trial assembly are recorded; a
-    trial that strictly drops the dimension is accepted, and the last
-    accepted trial is the returned fiber product.
+    ``builder(candidate)`` returns a fresh ConditionSystem; a candidate is a
+    suspect point, or the seed of one copy's random constants.  Candidates
+    are tried in order and the image dimension and size of each trial
+    assembly are recorded; a trial that strictly drops the dimension is
+    accepted, and the last accepted trial is the returned fiber product.
 
     With ``cumulative`` (the mode for repeated copies of one condition) each
     trial extends the previous trial, so every tried copy stays in the
@@ -389,7 +389,7 @@ def stabilize(builder, candidates, p_hat, tol=None,
     for i, cand in enumerate(candidates):
         base = trial if cumulative else best
         try:
-            comp = builder(cand, seed + 1000 * (i + 1))
+            comp = builder(cand)
             trial = (FiberProductSystem([comp], p_hat) if base is None
                      else base.with_component(comp))
             dim, _ = image_dimension(trial, tol=tol)

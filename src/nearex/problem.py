@@ -7,7 +7,7 @@ Schema::
       "name": "...",                    # optional label
       "system": "vars ...; params ...; poly ...;",
       "p_hat": [..],                    # finite numbers or [re, im] pairs
-      "p_tilde": [..],                  # optional nominal point for studies
+      "p_tilde": [..],                  # optional real nominal point for studies
       "structure": {"kind": "infinity" | "positive_dim" | "factor"
                             | "multiplicity", ...kind-specific fields},
       "options": {"seed": 0, "tol_rank": ..., "tol_infinity": ...,
@@ -23,14 +23,15 @@ two, local Hilbert function prefix (1, 1)): ``dim`` (0 to n − 1).  Options:
 dimension; ``tol_infinity`` (``infinity`` only); ``max_components`` (at least
 1, pins the number of stabilization trials; not for ``infinity``, which
 imposes one condition per suspect solution).  Counts are whole numbers,
-tolerances positive finite numbers, the entries of ``p_hat`` and ``p_tilde``
-finite numbers or [re, im] pairs of them.  The system has n equations for
-``infinity``, n − 1 for ``factor``, and at least n − dim for ``positive_dim``
-and ``multiplicity`` (``dim`` defaults to 1).  What is left out, or null,
-keeps the pipeline's default; anything else, such as an unknown field or
-option, a field of the wrong type, a value out of range or a wrong equation
-count, is a :class:`ProblemError` when the file is loaded, before any
-detection.
+tolerances positive finite numbers, the entries of ``p_hat`` finite numbers
+or [re, im] pairs of them, and those of ``p_tilde`` the same with every
+imaginary part zero.  The system has n equations for ``infinity``, n − 1
+for ``factor``, and at least n − dim for ``positive_dim`` and
+``multiplicity`` (``dim`` defaults to 1).  What is left out, or null (a
+field, a structure field or an option), keeps the pipeline's default;
+anything else, such as an unknown field or option, a field of the wrong
+type, a value out of range or a wrong equation count, is a
+:class:`ProblemError` when the file is loaded, before any detection.
 """
 
 from __future__ import annotations
@@ -149,11 +150,15 @@ class ProblemFile:
         if kind not in PIPELINES:
             raise ProblemError(f"structure.kind must be one of {tuple(PIPELINES)}, got {kind!r}")
         p_tilde = data.get("p_tilde")
+        if p_tilde is not None:
+            p_tilde = _complex_list(p_tilde, "p_tilde")
+            if np.any(p_tilde.imag):
+                raise ProblemError(f"p_tilde must be real, got {data['p_tilde']!r}")
         prob = cls(
             source=data["system"],
             p_hat=_complex_list(data["p_hat"], "p_hat"),
             structure=structure,
-            p_tilde=None if p_tilde is None else _complex_list(p_tilde, "p_tilde"),
+            p_tilde=p_tilde,
             options=dict(data.get("options", {})),
             name=data.get("name", ""),
         )
@@ -223,9 +228,10 @@ class ProblemFile:
 
     def options_with(self, overrides=None):
         """The file's options updated by ``overrides``, checked against the kind
-        and against the values a run can use."""
+        and against the values a run can use.  A null value, in the file or
+        among the overrides, is left out."""
         opts = dict(self.options)
-        opts.update(overrides or {})
+        opts.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         unknown = sorted(set(opts) - set(OPTIONS))
         if unknown:
             raise ProblemError(f"unknown option(s) {unknown}; options are {tuple(OPTIONS)}")
@@ -239,7 +245,7 @@ class ProblemFile:
             tol = opts.get(name)
             if tol is not None and not (_finite(tol) and tol > 0):
                 raise ProblemError(f"{name} must be a positive finite number, got {tol!r}")
-        return opts
+        return {k: v for k, v in opts.items() if v is not None}
 
     def run(self, seed=None, overrides=None):
         """Run the kind's recovery pipeline; returns a RunOutcome.  Each
@@ -251,7 +257,7 @@ class ProblemFile:
         if seed is not None:
             opts["seed"] = seed
         pipeline, fields = PIPELINES[self.kind]
-        kw = {OPTIONS[k]: v for k, v in opts.items() if v is not None}
+        kw = {OPTIONS[k]: v for k, v in opts.items()}
         kw.update((fields[k], v) for k, v in self.structure.items()
                   if k != "kind" and v is not None)
         return pipeline(system, self.p_hat, **kw)

@@ -1,15 +1,14 @@
 """Detection of suspicious structure at a perturbed parameter point.
 
-Four detectors: points with small homogenizing coordinates (near infinity),
-near-solutions of the original system among witness-superset endpoints,
-witness subsets whose summed second-order slice derivatives have near-zero
-trace, and points where the Macaulay matrices are nearly rank-deficient
-(local Hilbert function).
+Four measurements: points with small homogenizing coordinates (near
+infinity), near-solutions of the original system among witness-superset
+endpoints, the second-order slice derivatives of witness points, whose
+traces over subsets the factor pipeline ranks, and points where the
+Macaulay matrices are nearly rank-deficient (local Hilbert function).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ NEAR_SOLUTION_TOL = 1e-4
 NONSOLUTION_TOL = 1e-1
 INFINITY_NEAR_TOL = 1e-2
 HILBERT_RANK_TOL = 1e-8  # Macaulay singular values below this share of the scale are zero
-SUBSET_CAP = 4  # above 8 witness points, trace subsets of at most this size (and all)
 
 NONSOLUTION = "nonsolution"
 NEAR_SOLUTION = "near-solution"
@@ -176,21 +174,27 @@ def cluster_points(points, radius):
 @dataclass
 class TraceData:
     points: list  # w_j
-    first_derivs: list  # dw_j/ds as the moving form translates
+    first_derivs: list  # dw_j/ds as the slice translates
     second_derivs: list  # d^2 w_j/ds^2
-    subset_traces: dict  # frozenset of indices -> complex trace value
+    alpha: np.ndarray  # the generic weights of a trace
+
+    @property
+    def scale(self):
+        """max ‖ẅ_j‖, the scale a trace is measured against."""
+        return max(np.linalg.norm(w) for w in self.second_derivs)
 
     def trace(self, subset):
-        return self.subset_traces[frozenset(subset)]
+        """α · Σ_{j∈subset} ẅ_j."""
+        return complex(self.alpha @ sum(self.second_derivs[j] for j in subset))
 
 
-def trace_data(f_sliced, witness, move_index, alpha_seed=0):
-    """First/second derivatives of witness points as one slice form moves.
+def trace_data(f_sliced, witness, alpha_seed):
+    """First/second derivatives of witness points as the slice moves.
 
-    ``f_sliced`` is the square sliced system; row ``move_index`` is the affine
-    form whose constant translates.  ẇ solves ``J ẇ = e_move``; ẅ solves
+    ``f_sliced`` is the square sliced system; its last row is the affine
+    form whose constant translates.  ẇ solves ``J ẇ = e_last``; ẅ solves
     ``J ẅ = -(ẇᵀ Hess(row_i) ẇ)_i``, from the bordered rows of the trace
-    condition compiled over (w, ẇ).  Subset traces are ``α · Σ_{j∈S} ẅ_j``.
+    condition compiled over (w, ẇ).  α is drawn from ``alpha_seed``.
     """
     var = f_sliced.indices(VARIABLE, AUXILIARY)
     n = len(var)
@@ -204,13 +208,13 @@ def trace_data(f_sliced, witness, move_index, alpha_seed=0):
     rng = seeded_rng(alpha_seed, 7)
     alpha = unit_complex(rng, n)
     pts, wdots, wddots = [], [], []
-    e_move = np.zeros(n, dtype=complex)
-    e_move[move_index] = 1.0
+    e_last = np.zeros(n, dtype=complex)
+    e_last[-1] = 1.0
     for j, w in enumerate(witness):
         w = np.asarray(w, dtype=complex)
         J = f_sliced.jacobian(w, cols=var)
         try:
-            wd = solve_square(J, e_move)
+            wd = solve_square(J, e_last)
             wdd = solve_square(J, -hessian_form.evaluate(np.concatenate([w, wd])))
         except SingularMatrixError as exc:
             raise SingularMatrixError(
@@ -219,21 +223,7 @@ def trace_data(f_sliced, witness, move_index, alpha_seed=0):
         pts.append(w)
         wdots.append(wd)
         wddots.append(wdd)
-    r = len(pts)
-    traces = {}
-    if r <= 8:
-        index_subsets = [
-            s for size in range(1, r + 1) for s in itertools.combinations(range(r), size)
-        ]
-    else:
-        index_subsets = [
-            s for size in range(1, SUBSET_CAP + 1)
-            for s in itertools.combinations(range(r), size)
-        ]
-        index_subsets.append(tuple(range(r)))
-    for s in index_subsets:
-        traces[frozenset(s)] = complex(alpha @ sum(wddots[j] for j in s))
-    return TraceData(pts, wdots, wddots, traces)
+    return TraceData(pts, wdots, wddots, alpha)
 
 
 # -- Macaulay matrices and the local Hilbert function -----------------------

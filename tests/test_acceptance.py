@@ -122,12 +122,12 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
     # the four published curve second derivatives on the fixed slice
     sq_src = f.substitute_params(p_hat)
     n = sq_src.arity
-    sl = (Polynomial.variable(0, n, 2.0) + Polynomial.variable(1, n, -3.0)
+    sl = (2.0 * Polynomial.variable(0, n) + -3.0 * Polynomial.variable(1, n)
           + Polynomial.constant(-1.0, n))
     sq = PolySystem(sq_src.polynomials + [sl], sq_src.roles, sq_src.names)
     pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
     assert len(pts) == 4
-    td = trace_data(sq, pts, move_index=1, alpha_seed=0)
+    td = trace_data(sq, pts, alpha_seed=0)
     expected_wddot = [
         (0.13416408, 0.08944272),
         (-0.13416415, -0.08944277),
@@ -144,6 +144,7 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
 
     out = recover_factor(f, p_hat, subset_size=2, n_trials=5, seed=0)
     assert out.validated
+    assert out.result.validation["subset"] == [0, 2]
     assert out.stabilization.dims == [9, 8, 7, 6, 6]
     assert out.stabilization.sizes == [35, 60, 85, 110, 135]
     assert np.max(np.abs(np.real(out.result.p_star) - p_star)) < 1e-5
@@ -175,6 +176,7 @@ def test_fourbar_recovery_dimension_table_and_coupled_parameters():
     f, _, p_hat, p_star = load("fourbar")
     out = recover_factor(f, p_hat, subset_size=2, n_trials=4, seed=0)
     assert out.validated
+    assert out.result.validation["subset"] == [1, 3]
     assert out.stabilization.dims == [3, 2, 2, 2]
     assert out.stabilization.sizes == [53, 102, 151, 200]
     p = np.real(out.result.p_star)

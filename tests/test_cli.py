@@ -119,13 +119,15 @@ def test_option_out_of_range_is_rejected(tmp_path, fixture, flag, value):
     ("posdim", None, {"structure": None}),
     ("posdim", None, {"p_hat": 3}),
     ("posdim", None, {"name": 3}),
+    ("posdim", None, {"p_tilde": [[1.0, 0.5], -2.0]}),
 ], ids=["max-components", "tol-rank", "tol-rank-beyond-float", "tol-rank-bool",
         "tol-infinity", "unknown-option", "seed-not-whole",
         "unknown-structure-field", "dim-not-whole", "dim-above-range", "degree-0",
         "factor-dim-2", "subset-size-0", "prefix-1-2", "dim-bool", "groups-not-a-partition",
         "unknown-top-level-field", "options-a-list", "options-a-string", "system-a-number",
         "p-tilde-a-number", "p-hat-infinite", "p-hat-nan", "p-hat-bool",
-        "p-tilde-pair-infinite", "structure-null", "p-hat-a-number", "name-a-number"])
+        "p-tilde-pair-infinite", "structure-null", "p-hat-a-number", "name-a-number",
+        "p-tilde-complex"])
 def test_option_out_of_range_in_the_file_is_rejected(tmp_path, capsys, fixture, section,
                                                      fields):
     doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
@@ -231,6 +233,18 @@ def test_study_requires_nominal_point(tmp_path):
     assert '"p_tilde"' not in text
     prob.write_text(text)
     assert run_cli("study", prob, "--n", 1, "--out-dir", tmp_path) == 1
+
+
+def test_study_with_a_null_seed_runs_as_without_it(tmp_path):
+    # a null option is left out: the study draws at the default seed 0
+    doc = json.loads((FIXTURE_DIR / "posdim.json").read_text())
+    doc["options"]["seed"] = None
+    problem = tmp_path / "null-seed.json"
+    problem.write_text(json.dumps(doc))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("study", problem, "--n", 3, "--out-dir", a) == 0
+    assert run_cli("study", FIXTURE_DIR / "posdim.json", "--n", 3, "--out-dir", b) == 0
+    assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
 
 
 def test_study_outputs_are_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ from nearex import engine
 from nearex.algebra import parse_system, seeded_rng
 from nearex.engine import (
     StructureNotFoundError,
+    recover_factor,
     recover_infinity,
     recover_multiplicity,
     recover_positive_dim,
@@ -124,6 +125,19 @@ def test_multiplicity_zero_dimensional_double_root():
     assert out.validated
     assert out.result.p_star[0] == pytest.approx(2.828427116497461, abs=1e-6)
     assert out.result.p_star[1] == pytest.approx(1.999999988334534, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, n_trials, subset", [
+    ("zeke_quartic", 5, [0, 2]),
+    ("fourbar", 4, [1, 3]),
+])
+def test_factor_without_a_subset_size_ranks_every_proper_subset(name, n_trials, subset):
+    # every size from 1 to r - 1 is a candidate; the pair is the first that
+    # validates, as with subset_size=2
+    f, _, p_hat, _ = load(name)
+    out = recover_factor(f, p_hat, n_trials=n_trials, seed=0)
+    assert out.validated
+    assert out.result.validation["subset"] == subset
 
 
 @pytest.mark.parametrize("groups, dims, sizes", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nearex import engine
 from nearex.algebra import PARAMETER, parse_system
 from nearex.fiberprod import (
     FiberProductSystem,
@@ -103,10 +104,10 @@ def test_image_dimension_is_monotone_under_appends():
 def test_stabilize_cumulative_records_growing_sizes(cumulative):
     f, p_hat, ws, cands = posdim_detection()
 
-    def builder(cand, seed):
+    def builder(seed):
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stab = stabilize(builder, range(3), p_hat,
+    stab = stabilize(builder, [1000, 2000, 3000], p_hat,
                      stop_on_plateau=False, cumulative=cumulative)
     assert len(stab.dims) == 3
     # dimension stabilizes at 1 (the exceptional line) and the product keeps
@@ -127,11 +128,11 @@ def test_stabilize_plateau_stops_early():
     f, p_hat, ws, cands = posdim_detection()
     calls = []
 
-    def builder(cand, seed):
-        calls.append(cand)
+    def builder(seed):
+        calls.append(seed)
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stab = stabilize(builder, range(5), p_hat,
+    stab = stabilize(builder, [1000, 2000, 3000, 4000, 5000], p_hat,
                      stop_on_plateau=True, cumulative=True)
     assert len(calls) < 5
     assert stab.dims[-1] == stab.dims[-2]
@@ -140,17 +141,17 @@ def test_stabilize_plateau_stops_early():
 def test_stabilize_requires_candidates():
     f, p_hat, ws, cands = posdim_detection()
     with pytest.raises(ValueError):
-        stabilize(lambda c, s: None, [], p_hat)
+        stabilize(lambda c: None, [], p_hat)
 
 
 def test_stabilize_seeds_are_deterministic():
     f, p_hat, ws, cands = posdim_detection()
     seeds = []
 
-    def builder(cand, seed):
+    def builder(seed):
         seeds.append(seed)
         return build_witness_condition(f, 1, [cands[0]], seed=seed, detection=ws)
 
-    stabilize(builder, range(2), p_hat, seed=7,
-              stop_on_plateau=False, cumulative=True)
+    # copy i of a condition detected at s0 is built at s0 + 1000·(i + 1)
+    engine._copies(builder, p_hat, 7, 2, None)()
     assert seeds == [7 + 1000, 7 + 2000]

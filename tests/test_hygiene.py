@@ -1,6 +1,7 @@
 """Source hygiene: every name a nearex module imports is used in it, every
 top-level name and class member it defines is used somewhere in the
-repository, and every function the benchmark's tracer wraps exists."""
+repository, every argument a function takes is read, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -167,6 +168,49 @@ def test_every_benchmark_trace_target_resolves():
         importlib.import_module(module_name)
         owner, attr, value = tracing._resolve(module_name, path)
         assert callable(value), f"{module_name}.{path}"
+
+
+def unread_arguments(source):
+    """(line, name) for every parameter of a function or lambda in ``source``
+    that its body, nested functions included, never reads; ``self``, ``cls``
+    and ``_``-prefixed names are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(p.lineno, p.arg) for p in params if p.arg not in read
+                and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return sorted(out)
+
+
+def test_checker_sees_an_unread_argument():
+    source = (
+        "def f(a, b, _c, *args, **kw):\n"
+        "    return a\n"
+        "def g(p, q=1):\n"
+        "    def h(r):\n"
+        "        return p\n"
+        "    return h\n"
+        "class A:\n"
+        "    def m(self, x):\n"
+        "        return lambda y, z: y + x\n"
+    )
+    assert unread_arguments(source) == [
+        (1, "args"), (1, "b"), (1, "kw"), (3, "q"), (4, "r"), (9, "z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_argument_is_read(path):
+    """No argument is accepted and then ignored: a caller's value reaches
+    the body, or the name says it is unused."""
+    unread = unread_arguments(path.read_text(encoding="utf-8"))
+    assert not unread, ", ".join(f"{path.name}:{line} {name}" for line, name in unread)
 
 
 def scipy_imports(source):

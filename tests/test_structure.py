@@ -77,7 +77,7 @@ def _zeke_sliced():
     f = zeke.substitute_params(p_hat)
     n = f.arity
     a, b, c = ZEKE_SLICE
-    sl = (Polynomial.variable(0, n, a) + Polynomial.variable(1, n, b)
+    sl = (a * Polynomial.variable(0, n) + b * Polynomial.variable(1, n)
           + Polynomial.constant(c, n))
     return PolySystem(f.polynomials + [sl], f.roles, f.names)
 
@@ -87,7 +87,7 @@ def test_curve_second_derivatives_on_fixed_slice():
     results = solve_total_degree(sq, seed=0)
     pts = [r.endpoint for r in results if r.success]
     assert len(pts) == 4
-    td = trace_data(sq, pts, move_index=1, alpha_seed=0)
+    td = trace_data(sq, pts, alpha_seed=0)
     unmatched = list(range(4))
     for expect in EXPECTED_SECOND_DERIVS:
         errs = [np.max(np.abs(td.second_derivs[j] - np.array(expect)))
@@ -104,7 +104,7 @@ def test_curve_second_derivatives_on_fixed_slice():
 def test_conjugate_pair_trace_nearly_cancels():
     sq = _zeke_sliced()
     pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
-    td = trace_data(sq, pts, move_index=1, alpha_seed=0)
+    td = trace_data(sq, pts, alpha_seed=0)
     # the two second derivatives near +-0.0054 belong to one degree-2 factor
     idx = sorted(range(4), key=lambda j: np.linalg.norm(td.second_derivs[j]))[:2]
     assert abs(sum(td.second_derivs[j][0] for j in idx)) < 2e-7
@@ -114,7 +114,7 @@ def test_conjugate_pair_trace_nearly_cancels():
 def test_full_trace_is_sum_of_subset_traces():
     sq = _zeke_sliced()
     pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
-    td = trace_data(sq, pts, move_index=1, alpha_seed=3)
+    td = trace_data(sq, pts, alpha_seed=3)
     parts = td.trace([0, 1]) + td.trace([2, 3])
     assert td.trace(range(4)) == pytest.approx(parts, rel=1e-12)
 
@@ -133,7 +133,7 @@ def _hessian_quadratic_form(poly, var, w, wdot):
 def test_second_derivatives_match_the_entrywise_hessian_form():
     sq = _zeke_sliced()
     pts = [r.endpoint for r in solve_total_degree(sq, seed=0) if r.success]
-    td = trace_data(sq, pts, move_index=1, alpha_seed=0)
+    td = trace_data(sq, pts, alpha_seed=0)
     var = list(range(sq.arity))
     for w, wd, wdd in zip(td.points, td.first_derivs, td.second_derivs):
         rhs = [-_hessian_quadratic_form(p, var, w, wd) for p in sq.polynomials]
