@@ -17,6 +17,16 @@ HomotopyContinuation.jl do.  Far out on a path to infinity rounding alone
 keeps ‖dx‖ above an absolute tolerance, so an absolute test there rejects
 every step and halves the step size until the path crawls.
 
+A path's first step is ``INITIAL_STEP`` = 0.1 in t.  The step doubles after
+every ``GROWTH_AFTER`` accepted steps in a row, up to ``MAX_STEP`` = 0.5, and
+halves after a refused one.  A path with no refused step thus reaches t = 0
+in 8 steps (five of 0.1, two of 0.2, then the 0.1 left), where a start of
+0.05 under a cap of 0.1 took 13.  Most paths nearex tracks are like that:
+the 1–4 short, regular paths of each witness, parameter and descent
+homotopy of a study sample.  Each lock-step iterate costs about the same
+whatever its step, so those first steps were most of their cost.  A path
+that needs smaller steps gets them for one refused step per halving.
+
 A step never passes t = 0.  Once a path's step to exactly t = 0 is
 refused, the path never aims there again: each later step halves t, a
 geometric schedule as in the endgames of Bates, Hauenstein, Sommese &
@@ -59,9 +69,9 @@ STEP_FAILURE = "step-failure"
 
 
 # step control, in t
-INITIAL_STEP = 0.05
+INITIAL_STEP = 0.1
 MIN_STEP = 1e-14
-MAX_STEP = 0.1
+MAX_STEP = 0.5
 GROWTH_AFTER = 5  # successful steps in a row before the step doubles
 ENDGAME_T = 1e-6  # tracking stops here; Newton at t=0 finishes the path
 SALVAGE_T = 1e-3  # below this t, step failure defers to the endpoint polish

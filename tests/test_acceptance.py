@@ -115,7 +115,7 @@ def test_positive_dim_recovery_matches_reference_with_exact_witness():
 # -- factorization via the second-derivative trace ---------------------------
 
 
-def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
+def test_factor_recovery_dimension_table_second_derivatives_and_parameters(near_zero_pairs):
     t0 = time.monotonic()
     f, _, p_hat, p_star = load("zeke_quartic")
 
@@ -144,7 +144,9 @@ def test_factor_recovery_dimension_table_second_derivatives_and_parameters():
 
     out = recover_factor(f, p_hat, subset_size=2, n_trials=5, seed=0)
     assert out.validated
-    assert out.result.validation["subset"] == [0, 2]
+    # the two near-zero pairs are complements of each other, so their traces tie
+    pairs = near_zero_pairs("zeke_quartic")
+    assert len(pairs) == 2 and out.result.validation["subset"] in pairs
     assert out.stabilization.dims == [9, 8, 7, 6, 6]
     assert out.stabilization.sizes == [35, 60, 85, 110, 135]
     assert np.max(np.abs(np.real(out.result.p_star) - p_star)) < 1e-5
@@ -171,12 +173,12 @@ def test_multiplicity_recovery_matches_reference_and_hilbert_function():
 # -- four-bar path synthesis -------------------------------------------------
 
 
-def test_fourbar_recovery_dimension_table_and_coupled_parameters():
+def test_fourbar_recovery_dimension_table_and_coupled_parameters(near_zero_pairs):
     t0 = time.monotonic()
     f, _, p_hat, p_star = load("fourbar")
     out = recover_factor(f, p_hat, subset_size=2, n_trials=4, seed=0)
     assert out.validated
-    assert out.result.validation["subset"] == [1, 3]
+    assert [out.result.validation["subset"]] == near_zero_pairs("fourbar")
     assert out.stabilization.dims == [3, 2, 2, 2]
     assert out.stabilization.sizes == [53, 102, 151, 200]
     p = np.real(out.result.p_star)

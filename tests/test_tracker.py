@@ -477,6 +477,36 @@ def test_exact_starts_far_from_the_origin_pass_the_start_check():
         assert np.all(np.abs(result.endpoint ** 2 - p0) <= 1e-14 * 1e10)
 
 
+@pytest.mark.parametrize("growth_after, max_step", [
+    (tracker.GROWTH_AFTER, tracker.MAX_STEP),
+    (1, 2 * tracker.INITIAL_STEP),  # the cap binds before t = 0
+], ids=["as-set", "capped"])
+def test_a_regular_path_follows_the_step_schedule(monkeypatch, growth_after, max_step):
+    # x from 1 to 2, no step refused: each step is INITIAL_STEP doubled once
+    # per GROWTH_AFTER accepted steps before it, capped at MAX_STEP, and the
+    # last one is what remains of t
+    monkeypatch.setattr(tracker, "GROWTH_AFTER", growth_after)
+    monkeypatch.setattr(tracker, "MAX_STEP", max_step)
+    sys = parse_system("vars x; params p; poly x^2 - p;")
+    h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [1.0], [4.0])
+    steps = []  # (t, target, size) of each step
+    predict = tracker._predict_rk4
+
+    def recorded(h, x, J, t, dt):
+        steps.append((float(t[0]), float(t[0] + dt[0]), float(-dt[0])))
+        return predict(h, x, J, t, dt)
+    monkeypatch.setattr(tracker, "_predict_rk4", recorded)
+    result = track_path(h, np.array([1.0 + 0j]))
+    assert result.success and result.steps == len(steps) > growth_after
+    assert all(b[0] == a[1] for a, b in zip(steps, steps[1:]))  # every step accepted
+    scheduled = [min(tracker.INITIAL_STEP * 2 ** (k // growth_after), max_step)
+                 for k in range(len(steps))]
+    *head, (last_t, last_target, last_size) = steps
+    assert [size for *_, size in head] == scheduled[:-1]
+    assert last_target == 0.0 and last_size == last_t <= scheduled[-1]
+    assert abs(result.endpoint[0] - 2.0) < 1e-12
+
+
 def test_a_path_to_a_double_root_aims_at_t_0_once_then_halves_t(monkeypatch):
     sys = parse_system("vars x; params p; poly x^2 - p;")
     h = Homotopy(sys, sys.indices(VARIABLE), sys.indices(PARAMETER), [1.0], [0.0])
@@ -488,7 +518,7 @@ def test_a_path_to_a_double_root_aims_at_t_0_once_then_halves_t(monkeypatch):
         return predict(h, x, J, t, dt)
     monkeypatch.setattr(tracker, "_predict_rk4", recorded)
     result = track_path(h, np.array([1.0 + 0j]))
-    assert result.steps == len(steps) == 29  # 44 when every step after a refusal aims at 0
+    assert result.steps == len(steps) == 25  # 41 when every step after a refusal aims at 0
     aimed = [k for k, (_, target) in enumerate(steps) if target == 0.0]
     assert len(aimed) == 1
     tail = steps[aimed[0] + 1:]
