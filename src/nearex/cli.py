@@ -12,7 +12,8 @@ with its status and the reason.
 ``nearex study problem.json --n 500 --sigma 0.1`` repeats the recovery over
 Gaussian perturbations of the nominal parameters ``p_tilde`` and writes
 ``study.csv`` and ``hist.json`` (binned marginals per coordinate and along
-the intrinsic scatter direction).
+the intrinsic scatter direction).  It exits 0, or 2 when every sample ended
+in an error, after writing both files.
 
 All outputs are deterministic for fixed inputs and seeds.
 """
@@ -181,6 +182,11 @@ def cmd_study(args):
            _json_dump(histogram_data(rows, p_tilde, args.sigma)))
     n_ok = sum(1 for r in rows if r.get("chi2stat") is not None)
     print(f"{n_ok}/{args.n} samples recovered")
+    if all(r["status"].startswith("error:") for r in rows):
+        first = rows[0]["status"].removeprefix("error: ")
+        print(f"study failed: every sample ended in an error, the first a {first}",
+              file=sys.stderr)
+        return EXIT_RECOVERY_FAILED
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from nearex.cli import main
+from nearex.problem import ProblemFile
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -245,6 +246,20 @@ def test_study_with_a_null_seed_runs_as_without_it(tmp_path):
     assert run_cli("study", problem, "--n", 3, "--out-dir", a) == 0
     assert run_cli("study", FIXTURE_DIR / "posdim.json", "--n", 3, "--out-dir", b) == 0
     assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
+
+
+def test_study_whose_every_sample_errors_exits_2_and_names_the_error(tmp_path, monkeypatch,
+                                                                      capsys):
+    def raising(*args, **kwargs):
+        raise RuntimeError("no recovery")
+    monkeypatch.setattr(ProblemFile, "run", raising)
+    assert run_cli("study", FIXTURE_DIR / "posdim.json", "--n", 3, "--out-dir", tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == "0/3 samples recovered\n"
+    assert "the first a RuntimeError" in err
+    rows = (tmp_path / "study.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in rows] == ["error: RuntimeError"] * 3
+    assert (tmp_path / "hist.json").exists()
 
 
 def test_study_outputs_are_byte_identical(tmp_path):
