@@ -21,9 +21,9 @@ A path's first step is ``INITIAL_STEP`` = 0.1 in t.  The step doubles after
 every ``GROWTH_AFTER`` accepted steps in a row, up to ``MAX_STEP`` = 0.5, and
 halves after a refused one.  A path with no refused step thus reaches t = 0
 in 8 steps (five of 0.1, two of 0.2, then the 0.1 left), where a start of
-0.05 under a cap of 0.1 took 13.  Most paths nearex tracks are like that:
+0.05 under a cap of 0.1 took 13.  Most paths of a study are like that:
 the 1–4 short, regular paths of each witness, parameter and descent
-homotopy of a study sample.  Each lock-step iterate costs about the same
+homotopy of a sample.  Each lock-step iterate costs about the same
 whatever its step, so those first steps were most of their cost.  A path
 that needs smaller steps gets them for one refused step per halving.
 
