@@ -477,9 +477,8 @@ class PolySystem:
     def evaluate(self, point):
         return self.compiled.evaluate(point)
 
-    def jacobian(self, point, cols=None):
-        J = self.compiled.jacobian(point)
-        return J if cols is None else J[:, list(cols)]
+    def jacobian(self, point):
+        return self.compiled.jacobian(point)
 
     def coefficient_norm(self):
         """Euclidean norm of all coefficients, in stored order; compiles nothing."""

@@ -184,8 +184,8 @@ def cmd_study(args):
     print(f"{n_ok}/{args.n} samples recovered")
     if all(r["status"].startswith("error:") for r in rows):
         first = rows[0]["status"].removeprefix("error: ")
-        print(f"study failed: every sample ended in an error, the first a {first}",
-              file=sys.stderr)
+        print("study failed: every sample ended in an error, the first a "
+              f"{first}: {rows[0]['detail']}", file=sys.stderr)
         return EXIT_RECOVERY_FAILED
     return EXIT_OK
 

@@ -376,11 +376,14 @@ def stabilize(builder, candidates, p_hat, tol=None, stop_on_plateau=True,
     product, so an append that does not drop the dimension is discarded as a
     dependent condition.  With ``stop_on_plateau`` the scan ends at the first
     non-dropping append; otherwise every candidate is tried.  A ``tol`` of
-    None (or 0) means ``DEFAULT_RANK_TOL``.  A trial whose condition or image
+    None means ``DEFAULT_RANK_TOL``; any other must be a positive finite
+    number, or ``ValueError`` is raised.  A trial whose condition or image
     dimension cannot be computed ends the scan in a
     :class:`StabilizationError`.
     """
-    tol = tol or DEFAULT_RANK_TOL
+    tol = DEFAULT_RANK_TOL if tol is None else tol
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidates to impose")

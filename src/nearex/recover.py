@@ -216,7 +216,8 @@ def sample_study(run_one, p_tilde, sigma, n, seed=0):
 
     ``run_one(p_hat, sample_seed)`` performs one full detection+recovery and
     returns a RecoveryResult (or raises).  Returns a list of row dicts, in
-    sample order, with the chi-square statistic σ⁻²‖p̂−p*‖² per success.
+    sample order, with the chi-square statistic σ⁻²‖p̂−p*‖² per success; a
+    raising sample's row has status ``error: <type>`` and ``detail`` its message.
     """
     p_tilde = np.asarray(p_tilde, dtype=float)
     rows = []
@@ -227,8 +228,8 @@ def sample_study(run_one, p_tilde, sigma, n, seed=0):
         try:
             result = run_one(p_hat, seed + i)
         except Exception as exc:  # individual failures never abort the study
-            row.update(status=f"error: {type(exc).__name__}", p_star=None,
-                       distance=None, chi2stat=None)
+            row.update(status=f"error: {type(exc).__name__}", detail=str(exc),
+                       p_star=None, distance=None, chi2stat=None)
             rows.append(row)
             continue
         row["status"] = result.status

@@ -9,6 +9,8 @@ Macaulay matrices are nearly rank-deficient (local Hilbert function).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, rank_cut, singular_values, solve_square
+from .numlin import SingularMatrixError, rank_cut, singular_values, solve_stack
 from .tracker import solve_total_degree
 
 NEAR_SOLUTION_TOL = 1e-4
@@ -191,15 +193,16 @@ class TraceData:
 def trace_data(f_sliced, witness, alpha_seed):
     """First/second derivatives of witness points as the slice moves.
 
-    ``f_sliced`` is the square sliced system; its last row is the affine
-    form whose constant translates.  ẇ solves ``J ẇ = e_last``; ẅ solves
-    ``J ẅ = -(ẇᵀ Hess(row_i) ẇ)_i``, from the bordered rows of the trace
-    condition compiled over (w, ẇ).  α is drawn from ``alpha_seed``.
+    ``f_sliced`` is the square sliced system, parameters substituted; its
+    last row is the affine form whose constant translates.  ẇ solves
+    ``J ẇ = e_last`` and ẅ solves ``J ẅ = -(ẇᵀ Hess(row_i) ẇ)_i``, from the
+    bordered rows of the trace condition compiled over (w, ẇ), each in one
+    stacked solve over all witness points.  α is drawn from ``alpha_seed``.
     """
     var = f_sliced.indices(VARIABLE, AUXILIARY)
     n = len(var)
-    if len(f_sliced.polynomials) != n:
-        raise ValueError("sliced system must be square")
+    if len(f_sliced.polynomials) != n or n != f_sliced.arity:
+        raise ValueError("sliced system must be square, with no parameters")
     arity = f_sliced.arity + n
     dot = [Polynomial.variable(i, arity) for i in range(f_sliced.arity, arity)]
     polys = [p.remap(arity, range(f_sliced.arity)) for p in f_sliced.polynomials]
@@ -207,23 +210,15 @@ def trace_data(f_sliced, witness, alpha_seed):
         jacobian_times(jacobian_times(polys, var, dot), var, dot), arity)
     rng = seeded_rng(alpha_seed, 7)
     alpha = unit_complex(rng, n)
-    pts, wdots, wddots = [], [], []
-    e_last = np.zeros(n, dtype=complex)
-    e_last[-1] = 1.0
-    for j, w in enumerate(witness):
-        w = np.asarray(w, dtype=complex)
-        J = f_sliced.jacobian(w, cols=var)
-        try:
-            wd = solve_square(J, e_last)
-            wdd = solve_square(J, -hessian_form.evaluate(np.concatenate([w, wd])))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"witness point {j} is singular on the slice: {exc}"
-            ) from exc
-        pts.append(w)
-        wdots.append(wd)
-        wddots.append(wdd)
-    return TraceData(pts, wdots, wddots, alpha)
+    W = np.array(witness, dtype=complex).reshape(len(witness), n)
+    J = f_sliced.compiled.jacobian(W)
+    e_last = np.zeros((len(W), n), dtype=complex)
+    e_last[:, -1] = 1.0
+    wd, regular = solve_stack(J, e_last)
+    if not regular.all():
+        raise SingularMatrixError(f"witness point {np.argmin(regular)} is singular on the slice")
+    wdd, _ = solve_stack(J, -hessian_form.evaluate(np.concatenate([W, wd], axis=1)))
+    return TraceData(list(W), list(wd), list(wdd), alpha)
 
 
 # -- Macaulay matrices and the local Hilbert function -----------------------
@@ -231,20 +226,9 @@ def trace_data(f_sliced, witness, alpha_seed):
 
 def _graded_lex(n, dmax):
     """All exponent vectors of length n with total degree ≤ dmax, graded lex."""
-    out = []
-    for d in range(dmax + 1):
-        level = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                level.append(tuple(prefix) + (remaining,))
-                return
-            for k in range(remaining, -1, -1):
-                rec(prefix + [k], remaining - k, slots - 1)
-
-        rec([], d, n)
-        out.extend(level)
-    return out
+    return [tuple(map(combo.count, range(n)))
+            for d in range(dmax + 1)
+            for combo in itertools.combinations_with_replacement(range(n), d)]
 
 
 def _partial(cache, poly, alpha):
@@ -261,14 +245,6 @@ def _partial(cache, poly, alpha):
             return result
     cache[alpha] = poly
     return poly
-
-
-def _factorial_multi(alpha):
-    out = 1
-    for k in alpha:
-        for j in range(2, k + 1):
-            out *= j
-    return out
 
 
 def macaulay_matrix(f, x_star, d):
@@ -298,7 +274,8 @@ def macaulay_matrix(f, x_star, d):
                 deriv = _partial(caches[j], f.polynomials[j], diff)
                 if deriv.is_zero():
                     continue
-                M[row, col_of[alpha]] = deriv.evaluate(x_star) / _factorial_multi(diff)
+                scale = math.prod(map(math.factorial, diff))
+                M[row, col_of[alpha]] = deriv.evaluate(x_star) / scale
     return M
 
 

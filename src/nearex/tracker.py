@@ -11,11 +11,12 @@ next step's first slope.
 
 Every convergence test scales with the point.  The corrector stops at a
 Newton step of at most ``CORRECTOR_TOL·(1 + ‖x₀‖)``, x₀ being the point the
-correction starts from, as the endpoint classification, the Gauss–Newton
-polish and :func:`newton_refine` scale theirs, and as Bertini and
-HomotopyContinuation.jl do.  Far out on a path to infinity rounding alone
-keeps ‖dx‖ above an absolute tolerance, so an absolute test there rejects
-every step and halves the step size until the path crawls.
+correction starts from, as the endpoint classification and the
+Gauss–Newton polish scale theirs, and as Bertini and HomotopyContinuation.jl
+do.  Far out on a path to infinity rounding alone keeps ‖dx‖ above an
+absolute tolerance, so an absolute test there rejects every step and halves
+the step size until the path crawls.  :func:`newton_refine` is this
+corrector on a homotopy with no path, at ``REFINE_TOL``.
 
 A path's first step is ``INITIAL_STEP`` = 0.1 in t.  The step doubles after
 every ``GROWTH_AFTER`` accepted steps in a row, up to ``MAX_STEP`` = 0.5, and
@@ -60,7 +61,7 @@ from .algebra import (
     seeded_rng,
     unit_complex,
 )
-from .numlin import SingularMatrixError, lstsq, matvec, row_norms, solve_square, solve_stack
+from .numlin import lstsq, matvec, row_norms, solve_stack
 
 SUCCESS = "success"
 DIVERGED = "diverged"
@@ -80,8 +81,7 @@ CORRECTOR_TOL = 1e-10
 CORRECTOR_STEPS = 3
 POLISH_ITERS = 10
 LSTSQ_POLISH_ITERS = 40  # Gauss-Newton fallback when the Newton polish fails
-REFINE_TOL = 1e-14  # newton_refine: step relative to 1 + the point's norm
-REFINE_ITERS = 10
+REFINE_TOL = 1e-14  # newton_refine's corrector tolerance, in place of CORRECTOR_TOL
 START_TOL = 1e-8
 DIVERGENCE_BOUND = 1e12
 
@@ -401,20 +401,10 @@ def parameter_homotopy(sys, p1, p0, starts):
 
 
 def newton_refine(sys, point):
-    """Newton's method on a system square in all its indeterminates; returns
-    (point, converged)."""
-    if len(sys.polynomials) != sys.arity:
-        raise ValueError(
-            f"{len(sys.polynomials)} equations for {sys.arity} indeterminates"
-        )
-    x = np.asarray(point, dtype=complex).copy()
-    for _ in range(REFINE_ITERS):
-        F, J = sys.compiled.evaluate_with_jacobian(x)
-        try:
-            dx = solve_square(J, -F)
-        except SingularMatrixError:
-            return x, False
-        x = x + dx
-        if np.linalg.norm(dx) <= REFINE_TOL * (1.0 + np.linalg.norm(x)):
-            return x, True
-    return x, False
+    """Newton's method on a system square in all its indeterminates: the
+    corrector on a homotopy with no path, at ``REFINE_TOL``.  Returns
+    ``(point, converged)``; a singular Jacobian stops it, unconverged."""
+    x = np.asarray(point, dtype=complex)[None]
+    h = Homotopy(sys, range(sys.arity), [], [], [])
+    x, _, ok, _ = _newton_correct(h, x, np.zeros(1), REFINE_TOL, POLISH_ITERS)
+    return x[0], bool(ok[0])

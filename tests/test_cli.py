@@ -256,7 +256,7 @@ def test_study_whose_every_sample_errors_exits_2_and_names_the_error(tmp_path, m
     assert run_cli("study", FIXTURE_DIR / "posdim.json", "--n", 3, "--out-dir", tmp_path) == 2
     out, err = capsys.readouterr()
     assert out == "0/3 samples recovered\n"
-    assert "the first a RuntimeError" in err
+    assert "the first a RuntimeError: no recovery" in err
     rows = (tmp_path / "study.csv").read_text().strip().split("\n")[1:]
     assert [row.split(",")[1] for row in rows] == ["error: RuntimeError"] * 3
     assert (tmp_path / "hist.json").exists()

@@ -144,6 +144,15 @@ def test_stabilize_requires_candidates():
         stabilize(lambda c: None, [], p_hat)
 
 
+@pytest.mark.parametrize("tol", [0, -1e-8, float("nan"), float("inf")])
+def test_stabilize_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    f, p_hat, ws, cands = posdim_detection()
+    calls = []
+    with pytest.raises(ValueError, match="positive finite"):
+        stabilize(calls.append, [1000], p_hat, tol=tol)
+    assert calls == []
+
+
 def test_stabilize_seeds_are_deterministic():
     f, p_hat, ws, cands = posdim_detection()
     seeds = []

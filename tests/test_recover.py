@@ -166,6 +166,8 @@ def test_sample_study_rows_are_in_sample_order_and_seeded():
     assert [r["sample"] for r in rows] == [0, 1, 2]
     assert seen == [40, 41, 42]
     assert rows[1]["status"] == "error: RuntimeError"
+    assert rows[1]["detail"] == "boom"
+    assert "detail" not in rows[0] and "detail" not in rows[2]
     assert rows[0]["chi2stat"] == pytest.approx((0.5 / 0.1) ** 2)
 
 

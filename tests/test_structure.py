@@ -8,6 +8,7 @@ from nearex.algebra import (
     seeded_rng,
 )
 from nearex.fixtures import load
+from nearex.numlin import SingularMatrixError
 from nearex.structure import (
     classify_residual,
     cluster_points,
@@ -139,6 +140,16 @@ def test_second_derivatives_match_the_entrywise_hessian_form():
         rhs = [-_hessian_quadratic_form(p, var, w, wd) for p in sq.polynomials]
         expect = np.linalg.solve(sq.jacobian(w), rhs)
         assert np.linalg.norm(wdd - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_trace_data_names_the_first_singular_witness_point():
+    # J = [[2x, 2y], [0, 1]] is singular at x = 0
+    sq = parse_system("vars x, y; poly x^2 + y^2 - 1; poly y - 0.5;")
+    r = np.sqrt(0.75)
+    pts = [np.array([r, 0.5]), np.array([0.0, 0.5]), np.array([-r, 0.5]),
+           np.array([0.0, 2.0])]
+    with pytest.raises(SingularMatrixError, match="witness point 1 is singular"):
+        trace_data(sq, pts, alpha_seed=0)
 
 
 # -- Macaulay matrices and the local Hilbert function -----------------------

@@ -551,6 +551,33 @@ def test_newton_refine_converges_quadratically():
     assert abs(x1[0] - np.sqrt(2)) < 1e-14
 
 
+def test_newton_refine_stops_at_a_singular_jacobian():
+    # J = [[2x, 2y], [y, x]] is singular wherever x = y, off the solutions too
+    sys = parse_system("vars x, y; poly x^2 + y^2 - 2; poly x*y - 1;")
+    x0 = np.array([1.5 + 0.5j, 1.5 + 0.5j])
+    x1, ok = newton_refine(sys, x0)
+    assert ok is False
+    assert x1.tobytes() == x0.tobytes()
+
+
+def test_newton_refine_rejects_a_system_that_is_not_square():
+    sys = parse_system("vars x, y; poly x*y - 1;")
+    with pytest.raises(ValueError, match="1 equations for 2 unknowns"):
+        newton_refine(sys, np.array([1.0 + 0j, 1.0 + 0j]))
+
+
+def test_a_homotopy_with_no_path_is_its_system_bit_for_bit():
+    sys = parse_system("vars x, y, z; poly x^2*y - 3*z + 1; poly y*z^3 - x; poly x + y + z^2;")
+    h = Homotopy(sys, range(sys.arity), [], [], [])
+    rng = seeded_rng(11)
+    X = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    for t in (0.0, 0.7):
+        H, J = h.evaluate_with_jacobian(X, np.full(len(X), t))
+        F, JF = sys.compiled.evaluate_with_jacobian(X)
+        assert H.tobytes() == F.tobytes() and J.tobytes() == JF.tobytes()
+        assert h.evaluate(X[0], t).tobytes() == sys.evaluate(X[0]).tobytes()
+
+
 def test_diverging_path_is_reported_not_raised():
     # x^2 = x forces x in {0, 1} but x*y = 1 needs x != 0, so the paths
     # heading to x=0 blow up in y; tracking must finish with a status,
